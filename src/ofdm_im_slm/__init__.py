@@ -35,6 +35,7 @@ from .core import (
     assemble_block,
     block_from_bits,
     dft,
+    draw_active_positions,
     idft,
     map_bits_to_group,
     oversampled_idft,
@@ -51,6 +52,7 @@ from .slm import (
     SlmResult,
     all_ones_pss,
     apply_permutation,
+    candidate_paprs_db,
     cyclic_hadamard_matrix,
     gen_hadamard_pss,
     gen_mls,

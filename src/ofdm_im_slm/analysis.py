@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sap, SystemConfig
+from .core import Sap, SystemConfig, draw_active_positions
 from .slm import PermutationSet, PhaseSequenceSet
 
 
@@ -50,21 +50,11 @@ def var_rho_closed_form(cfg: SystemConfig, m: int) -> float:
     return (1.0 / cfg.n_fft) * (n / (n - 1.0)) * (n / k - 1.0)
 
 
-def _draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """(trials, K) active subcarrier indices, uniform per group."""
-    n, k, G = cfg.group_size, cfg.active, cfg.num_groups
-    cols = []
-    for g in range(G):
-        rows = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)[:, :k]
-        cols.append(np.sort(rows, axis=1) * G + g)
-    return np.concatenate(cols, axis=1)
-
-
 def var_rho_empirical(cfg: SystemConfig, m: int, trials: int, rng: np.random.Generator) -> float:
     """Sample variance E|rho|^2 - |E rho|^2 of rho(m) over uniform pattern draws."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pos = _draw_active_positions(cfg, trials, rng)
+    pos = draw_active_positions(cfg, trials, rng)
     w = np.exp(-2j * np.pi * m * np.arange(cfg.n_fft) / cfg.n_fft)
     rho = w[pos].sum(axis=1) / cfg.total_active
     return float(np.mean(np.abs(rho) ** 2) - np.abs(np.mean(rho)) ** 2)
@@ -74,13 +64,15 @@ def var_rho_empirical_profile(
     cfg: SystemConfig, trials: int, rng: np.random.Generator, chunk: int = 20000
 ) -> np.ndarray:
     """Empirical variance of rho(m) for every lag m at once (chunked FFT)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     N = cfg.n_fft
     acc_abs2 = np.zeros(N)
     acc_mean = np.zeros(N, dtype=complex)
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        pos = _draw_active_positions(cfg, b, rng)
+        pos = draw_active_positions(cfg, b, rng)
         alpha = np.zeros((b, N))
         np.put_along_axis(alpha, pos, 1.0, axis=1)
         rho = np.fft.fft(alpha, axis=1) / cfg.total_active
@@ -167,13 +159,6 @@ def mu_metric_set(perms: PermutationSet, cfg: SystemConfig) -> float:
         for v in range(u + 1, perms.u)
     ]
     return float(np.mean(values))
-
-
-def mu_report_json(report: MuReport) -> dict:
-    doc = {"mu": report.mu, "grid_shape": list(report.grid_shape)}
-    if report.pair is not None:
-        doc["pair"] = list(report.pair)
-    return doc
 
 
 # ---------------------------------------------------------------------------

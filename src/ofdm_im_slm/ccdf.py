@@ -10,9 +10,9 @@ for any worker count.
 
 Per-batch draw order (per trial block): for each group in order, the
 active rows (uniform subset, or ranked-word lookup in bits mode), then all
-symbol indices. Candidate u applies permutation u, phase sequence u, and
-the unitary IDFT; exceedances of the selected branch are counted per
-gamma.
+symbol indices. The candidates are those of ``slm.slm_select``
+(``candidate_paprs_db``); exceedances of the selected branch are counted
+per gamma.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Constellation, SystemConfig, idft, oversampled_idft, subset_unrank
+from .core import Constellation, SystemConfig, draw_active_positions, subset_unrank
 from .slm import (
     PermutationSet,
     PhaseSequenceSet,
     all_ones_pss,
+    candidate_paprs_db,
     gen_hadamard_pss,
     gen_perm_set,
     gen_random_pss,
@@ -167,28 +168,18 @@ def instantiate_scheme(plan: TrialPlan):
 
 @dataclass(frozen=True)
 class _Resolved:
-    """Plan plus instantiated generator sets, ready for batch execution."""
+    """Plan plus the arrays batch execution derives from it once."""
 
-    n_fft: int
-    group_size: int
-    active: int
-    num_groups: int
-    mean_power: float
-    gamma: np.ndarray
+    plan: TrialPlan
     pss_seq: np.ndarray
     perm_inv: np.ndarray
     symbols: np.ndarray
-    sap_source: str
     subset_table: np.ndarray | None
-    oversample: int
-    seed: int
-    trials: int
 
 
 def _resolve(plan: TrialPlan) -> _Resolved:
     cfg = plan.cfg
     pss, perms = instantiate_scheme(plan)
-    constellation = Constellation.for_order(cfg.mod_order)
     table = None
     if plan.scheme.sap_source == "bits":
         words = 1 << cfg.index_bits
@@ -196,49 +187,33 @@ def _resolve(plan: TrialPlan) -> _Resolved:
             [subset_unrank(r, cfg.group_size, cfg.active) for r in range(words)], dtype=np.intp
         )
     return _Resolved(
-        n_fft=cfg.n_fft,
-        group_size=cfg.group_size,
-        active=cfg.active,
-        num_groups=cfg.num_groups,
-        mean_power=cfg.mean_power,
-        gamma=plan.gamma_db,
+        plan=plan,
         pss_seq=pss.sequences,
-        perm_inv=np.argsort(perms.perms, axis=1),
-        symbols=constellation.symbols,
-        sap_source=plan.scheme.sap_source,
+        perm_inv=perms.inverse,
+        symbols=Constellation.psk(cfg.mod_order).symbols,
         subset_table=table,
-        oversample=plan.oversample,
-        seed=plan.seed,
-        trials=plan.trials,
     )
 
 
 def _batch_counts(res: _Resolved, batch_index: int) -> np.ndarray:
-    start = batch_index * BATCH_TRIALS
-    size = min(BATCH_TRIALS, res.trials - start)
-    rng = np.random.default_rng(np.random.SeedSequence(res.seed, spawn_key=(2, batch_index)))
-    n, k, G, N = res.group_size, res.active, res.num_groups, res.n_fft
+    plan, cfg = res.plan, res.plan.cfg
+    size = min(BATCH_TRIALS, plan.trials - batch_index * BATCH_TRIALS)
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(2, batch_index)))
 
-    pos = np.empty((size, k * G), dtype=np.intp)
-    for g in range(G):
-        if res.sap_source == "uniform":
-            rows = np.sort(rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)[:, :k], axis=1)
-        else:
-            ranks = rng.integers(0, res.subset_table.shape[0], size=size)
-            rows = res.subset_table[ranks]
-        pos[:, g * k : (g + 1) * k] = rows * G + g
-    sym_idx = rng.integers(0, res.symbols.size, size=(size, k * G))
+    if plan.scheme.sap_source == "uniform":
+        pos = draw_active_positions(cfg, size, rng)
+    else:
+        G = cfg.num_groups
+        ranks = [rng.integers(0, res.subset_table.shape[0], size=size) for _ in range(G)]
+        pos = np.concatenate([res.subset_table[r] * G + g for g, r in enumerate(ranks)], axis=1)
+    sym_idx = rng.integers(0, res.symbols.size, size=pos.shape)
 
-    block = np.zeros((size, N), dtype=complex)
+    block = np.zeros((size, cfg.n_fft), dtype=complex)
     np.put_along_axis(block, pos, res.symbols[sym_idx], axis=1)
 
-    best = np.full(size, np.inf)
-    for u in range(res.pss_seq.shape[0]):
-        rotated = block[:, res.perm_inv[u]] * res.pss_seq[u]
-        x = idft(rotated) if res.oversample == 1 else oversampled_idft(rotated, res.oversample)
-        papr = 10.0 * np.log10(np.max(np.abs(x) ** 2, axis=1) / res.mean_power)
-        np.minimum(best, papr, out=best)
-    return np.sum(best[:, None] > res.gamma[None, :], axis=0, dtype=np.int64)
+    paprs = candidate_paprs_db(block, res.pss_seq, res.perm_inv, cfg.mean_power, plan.oversample)
+    best = paprs.min(axis=-1)
+    return np.sum(best[:, None] > plan.gamma_db[None, :], axis=0, dtype=np.int64)
 
 
 _WORKER_RESOLVED = None

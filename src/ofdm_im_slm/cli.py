@@ -79,10 +79,12 @@ def _build_cfg(args) -> SystemConfig:
 def _parse_gamma(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
+        if not step > 0:
+            raise ValueError("step must be positive")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         return np.round(start + step * np.arange(count), 9)
-    except ValueError:
-        raise CliError(2, f"bad gamma spec {spec!r}, expected start:stop:step")
+    except (ValueError, OverflowError):
+        raise CliError(2, f"bad gamma spec {spec!r}, expected start:stop:step with step > 0")
 
 
 def _read_json(path: str) -> dict:
@@ -172,13 +174,17 @@ def cmd_ccdf(args) -> int:
     except ValueError as e:
         raise CliError(2, f"invalid plan: {e}")
 
+    try:
+        pss, perms = instantiate_scheme(plan)
+    except ValueError as e:
+        raise CliError(2, f"invalid generator sets: {e}")
+
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
     csv_path, json_path = base + ".csv", base + ".json"
     _check_writable(csv_path)
     _check_writable(json_path)
 
     curve = run_ccdf(plan, workers=args.workers)
-    pss, perms = instantiate_scheme(plan)
     _write_text(csv_path, curve_csv_text(curve))
     _write_text(json_path, json.dumps(plan_json_doc(plan, pss, perms), indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path} and {json_path} ({plan.trials} trials)")
@@ -238,10 +244,14 @@ def cmd_analyze_pss(args) -> int:
             pss = pss_from_json(_read_json(args.pss_file))
         except (KeyError, ValueError) as e:
             raise CliError(2, f"malformed PSS file {args.pss_file}: {e}")
-    elif args.pss == "hadamard":
-        pss = gen_hadamard_pss(cfg, args.u)
     else:
-        pss = gen_random_pss(cfg, args.u, rng, alphabet=args.pss_alphabet)
+        try:
+            if args.pss == "hadamard":
+                pss = gen_hadamard_pss(cfg, args.u)
+            else:
+                pss = gen_random_pss(cfg, args.u, rng, alphabet=args.pss_alphabet)
+        except ValueError as e:
+            raise CliError(2, f"invalid PSS: {e}")
     if pss.n_fft != cfg.n_fft:
         raise CliError(2, f"PSS length {pss.n_fft} does not match n_fft {cfg.n_fft}")
     u, v = args.pair
@@ -268,8 +278,6 @@ def cmd_analyze_pss(args) -> int:
 
 def cmd_verify_var_rho(args) -> int:
     cfg = _build_cfg(args)
-    rng = np.random.default_rng(args.seed)
-    empirical = var_rho_empirical_profile(cfg, args.trials, rng)
     if args.m_values:
         try:
             m_list = [int(v) for v in args.m_values.split(",")]
@@ -279,6 +287,10 @@ def cmd_verify_var_rho(args) -> int:
             raise CliError(2, "--m-values out of range")
     else:
         m_list = list(range(cfg.n_fft))
+    try:
+        empirical = var_rho_empirical_profile(cfg, args.trials, np.random.default_rng(args.seed))
+    except ValueError as e:
+        raise CliError(2, f"invalid run: {e}")
 
     lines = ["m,analytic,empirical,rel_error"]
     for m in m_list:

@@ -96,14 +96,6 @@ class Constellation:
         offset = np.pi / 4 if order == 4 else 0.0
         return cls(np.exp(1j * (offset + 2 * np.pi * np.arange(order) / order)))
 
-    @classmethod
-    def qpsk(cls) -> "Constellation":
-        return cls.psk(4)
-
-    @classmethod
-    def for_order(cls, order: int) -> "Constellation":
-        return cls.psk(order)
-
 
 @dataclass(frozen=True)
 class GroupSap:
@@ -143,11 +135,6 @@ class Sap:
 
     def active_array(self) -> np.ndarray:
         return np.array(self.active, dtype=np.intp)
-
-    def indicator(self, n_fft: int) -> np.ndarray:
-        alpha = np.zeros(n_fft, dtype=np.uint8)
-        alpha[list(self.active)] = 1
-        return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +203,24 @@ def map_bits_to_group(bits, cfg: SystemConfig, cs: Constellation):
     return sap, symbols
 
 
+def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """(trials, K) active subcarrier indices, uniform over all C(n,k)^G patterns.
+
+    Columns run group by group, sorted rows within each group; group g draws
+    one row-wise shuffle of all trials before group g+1.
+    """
+    n, k, G = cfg.group_size, cfg.active, cfg.num_groups
+    cols = []
+    for g in range(G):
+        rows = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)[:, :k]
+        cols.append(np.sort(rows, axis=1) * G + g)
+    return np.concatenate(cols, axis=1)
+
+
 def sample_random_sap(cfg: SystemConfig, rng: np.random.Generator) -> Sap:
-    """Uniform draw over all C(n,k)^G activation patterns (analysis assumption)."""
-    groups = tuple(
-        GroupSap(tuple(sorted(rng.permutation(cfg.group_size)[: cfg.active].tolist())))
-        for _ in range(cfg.num_groups)
-    )
-    return Sap(groups).check(cfg)
+    """One uniform activation pattern (the analysis assumption), as a Sap."""
+    rows = draw_active_positions(cfg, 1, rng).reshape(cfg.num_groups, cfg.active) // cfg.num_groups
+    return Sap(tuple(GroupSap(tuple(r)) for r in rows.tolist()))
 
 
 def assemble_block(groups, cfg: SystemConfig):

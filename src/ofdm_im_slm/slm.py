@@ -13,10 +13,11 @@ is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import GroupSap, Sap, SystemConfig, idft, papr_db
+from .core import GroupSap, Sap, SystemConfig, idft, oversampled_idft
 
 # Feedback polynomials x^m + ... + 1 known to generate maximal-length
 # sequences, given as exponent tuples. Each entry is re-verified at
@@ -114,10 +115,10 @@ class PhaseSequenceSet:
             raise ValueError("need at least one phase sequence")
         if np.max(np.abs(np.abs(seq) - 1.0)) > 1e-12:
             raise ValueError("phase sequence entries must have unit modulus")
-        for u in range(seq.shape[0]):
-            for v in range(u + 1, seq.shape[0]):
-                if np.array_equal(seq[u], seq[v]):
-                    raise ValueError(f"phase sequences {u} and {v} are identical")
+        # lexicographic row order puts identical rows next to each other
+        rows = seq[np.lexsort(np.concatenate([seq.real, seq.imag], axis=1).T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+            raise ValueError("phase sequence set has identical rows")
 
     @property
     def u(self) -> int:
@@ -166,22 +167,12 @@ def all_ones_pss(cfg: SystemConfig) -> PhaseSequenceSet:
 # ---------------------------------------------------------------------------
 # permutation sets
 
-def validate_permutation(d: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    d = np.asarray(d, dtype=np.intp)
-    if d.shape != (cfg.n_fft,) or not np.array_equal(np.sort(d), np.arange(cfg.n_fft)):
-        raise ValueError("not a permutation of 0..n_fft-1")
-    G = cfg.num_groups
-    if np.any(d % G != np.arange(cfg.n_fft) % G):
-        raise ValueError("permutation leaves a group (residue class mod G not preserved)")
-    return d
-
-
 @dataclass(frozen=True)
 class PermutationSet:
     """U per-group permutations, rows of an int array.
 
-    Construction checks bijectivity; group closure is checked against a
-    config by the generators and loaders.
+    Construction checks bijectivity; ``check`` adds the length and group
+    closure against a config, for rows that come from outside.
     """
 
     perms: np.ndarray
@@ -190,14 +181,33 @@ class PermutationSet:
     def __post_init__(self):
         perms = np.atleast_2d(np.asarray(self.perms, dtype=np.intp))
         object.__setattr__(self, "perms", perms)
-        full = np.arange(perms.shape[1])
-        for row in perms:
-            if not np.array_equal(np.sort(row), full):
-                raise ValueError("each row must be a permutation of 0..n_fft-1")
+        if perms.ndim != 2 or np.any(np.sort(perms, axis=1) != np.arange(perms.shape[1])):
+            raise ValueError("each row must be a permutation of 0..n_fft-1")
 
     @property
     def u(self) -> int:
         return self.perms.shape[0]
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Rows d^-1: gathering a block by inverse[u] applies permutation u."""
+        return np.argsort(self.perms, axis=1)
+
+    def check(self, cfg: SystemConfig) -> "PermutationSet":
+        N, G = cfg.n_fft, cfg.num_groups
+        if self.perms.shape[1] != N:
+            raise ValueError(f"permutation length {self.perms.shape[1]} is not n_fft={N}")
+        if np.any(self.perms % G != np.arange(N) % G):
+            raise ValueError("permutation leaves a group (residue class mod G not preserved)")
+        return self
+
+
+def validate_permutation(d: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """One permutation row, checked for bijectivity, length and group closure."""
+    d = np.asarray(d, dtype=np.intp)
+    if d.ndim != 1:
+        raise ValueError("not a permutation of 0..n_fft-1")
+    return PermutationSet(d).check(cfg).perms[0]
 
 
 def gen_perm_set(
@@ -230,13 +240,12 @@ def gen_perm_set(
     elif kind == "explicit":
         if explicit is None:
             raise ValueError("explicit permutation set needs the index arrays")
-        perms = np.array([validate_permutation(d, cfg) for d in explicit], dtype=np.intp)
-        if perms.shape[0] != u:
-            raise ValueError(f"expected {u} permutations, got {perms.shape[0]}")
+        perms = PermutationSet(np.array(explicit), kind=kind).check(cfg)
+        if perms.u != u:
+            raise ValueError(f"expected {u} permutations, got {perms.u}")
+        return perms
     else:
         raise ValueError(f"unknown permutation kind {kind!r}")
-    for row in perms:
-        validate_permutation(row, cfg)
     return PermutationSet(perms, kind=kind)
 
 
@@ -271,6 +280,23 @@ class SlmResult:
     papr_db: np.ndarray
 
 
+def candidate_paprs_db(
+    blocks: np.ndarray, pss_seq: np.ndarray, perm_inv: np.ndarray, mean_power: float, oversample: int = 1
+) -> np.ndarray:
+    """PAPR in dB of every SLM candidate: (..., N) blocks -> (..., U).
+
+    Candidate u gathers the block by the inverse of permutation u (entry i
+    lands at d_u[i]), multiplies by phase row u and applies the unitary
+    IDFT, zero-padded by ``oversample``. Only one candidate is held at a time.
+    """
+    blocks = np.asarray(blocks)
+    peaks = np.empty(blocks.shape[:-1] + (pss_seq.shape[0],))
+    for u in range(pss_seq.shape[0]):
+        x = oversampled_idft(blocks[..., perm_inv[u]] * pss_seq[u], oversample)
+        peaks[..., u] = (np.abs(x) ** 2).max(axis=-1)
+    return 10.0 * np.log10(peaks / mean_power)
+
+
 def slm_select(
     block: np.ndarray, pss: PhaseSequenceSet, perms: PermutationSet, cfg: SystemConfig
 ) -> SlmResult:
@@ -280,14 +306,11 @@ def slm_select(
     """
     if pss.u != perms.u:
         raise ValueError(f"pss has {pss.u} sequences but perms has {perms.u}")
-    paprs = np.empty(pss.u)
-    signals = []
-    for i in range(pss.u):
-        candidate = idft(pss.sequences[i] * apply_permutation(block, perms.perms[i]))
-        signals.append(candidate)
-        paprs[i] = papr_db(candidate, cfg)
+    block = np.asarray(block)
+    paprs = candidate_paprs_db(block, pss.sequences, perms.inverse, cfg.mean_power)
     best = int(np.argmin(paprs))
-    return SlmResult(selected_index=best, signal=signals[best], papr_db=paprs)
+    signal = idft(block[perms.inverse[best]] * pss.sequences[best])
+    return SlmResult(selected_index=best, signal=signal, papr_db=paprs)
 
 
 # ---------------------------------------------------------------------------
@@ -311,5 +334,4 @@ def perm_set_to_json(perms: PermutationSet) -> dict:
 
 
 def perm_set_from_json(doc: dict, cfg: SystemConfig) -> PermutationSet:
-    rows = [validate_permutation(np.array(row), cfg) for row in doc["perms"]]
-    return PermutationSet(np.array(rows), kind=doc.get("kind", "explicit"))
+    return PermutationSet(np.array(doc["perms"]), kind=doc.get("kind", "explicit")).check(cfg)

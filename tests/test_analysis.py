@@ -21,7 +21,6 @@ from ofdm_im_slm import (
     var_rho_empirical,
     var_rho_empirical_profile,
 )
-from ofdm_im_slm.analysis import mu_report_json
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
 CFG8 = SystemConfig(n_fft=8, group_size=4, active=2, mod_order=4)
@@ -100,6 +99,8 @@ def test_var_rho_profile_matches_single_lag():
 def test_var_rho_empirical_rejects_bad_trials():
     with pytest.raises(ValueError):
         var_rho_empirical(CFG, 1, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="trials"):
+        var_rho_empirical_profile(CFG, 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +203,6 @@ def test_mu_metric_set_aggregation():
         mu_metric_set(gen_perm_set(CFG, 1, "identity"), CFG)
 
 
-def test_mu_report_json():
-    report = mu_metric(np.arange(64), np.arange(64), CFG, pair=(0, 1))
-    doc = mu_report_json(report)
-    assert doc["grid_shape"] == [64, 64] and doc["pair"] == [0, 1]
-    assert abs(doc["mu"] - 63.0) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # covariance of alternative signals
 
@@ -219,7 +213,7 @@ def test_cov_self_pair_at_same_sample_is_signal_power():
     sap = Sap(tuple(GroupSap((1, 2)) for _ in range(4)))
     pss = type(all_ones_pss(CFG))(pss_rows)
     perms = gen_perm_set(CFG, 2, "identity")
-    check = cov_alt_signals(sap, Constellation.qpsk(), pss, perms, 5, 5, CFG, 2000, np.random.default_rng(15))
+    check = cov_alt_signals(sap, Constellation.psk(4), pss, perms, 5, 5, CFG, 2000, np.random.default_rng(15))
     assert abs(abs(check.analytic) - CFG.active / CFG.group_size) < 1e-12
 
 
@@ -230,7 +224,7 @@ def test_cov_analytic_equals_punctured_spectrum_for_identity_perms():
     perms = gen_perm_set(CFG, 2, "identity")
     spec = punctured_spectrum(pss.sequences[0], pss.sequences[1], sap)
     for l, m in [(0, 0), (5, 2), (9, 30), (63, 1)]:
-        check = cov_alt_signals(sap, Constellation.qpsk(), pss, perms, l, m, CFG, 10, rng)
+        check = cov_alt_signals(sap, Constellation.psk(4), pss, perms, l, m, CFG, 10, rng)
         assert abs(abs(check.analytic) - spec.magnitudes[(l - m) % 64]) < 1e-12
 
 
@@ -240,7 +234,7 @@ def test_cov_empirical_matches_analytic():
     perms = gen_perm_set(CFG, 2, "random", rng)
     sap = sample_random_sap(CFG, rng)
     for l, m in [(3, 11), (20, 20)]:
-        check = cov_alt_signals(sap, Constellation.qpsk(), pss, perms, l, m, CFG, 100000, rng)
+        check = cov_alt_signals(sap, Constellation.psk(4), pss, perms, l, m, CFG, 100000, rng)
         assert abs(check.empirical - check.analytic) < 3 * check.stderr + 1e-12
 
 
@@ -248,6 +242,6 @@ def test_cov_requires_two_candidates():
     sap = sample_random_sap(CFG, np.random.default_rng(18))
     with pytest.raises(ValueError):
         cov_alt_signals(
-            sap, Constellation.qpsk(), all_ones_pss(CFG), gen_perm_set(CFG, 1, "identity"),
+            sap, Constellation.psk(4), all_ones_pss(CFG), gen_perm_set(CFG, 1, "identity"),
             0, 0, CFG, 10, np.random.default_rng(19),
         )

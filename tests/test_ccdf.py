@@ -12,7 +12,6 @@ from ofdm_im_slm import (
     instantiate_scheme,
     papr_at_ccdf,
     run_ccdf,
-    slm_select,
 )
 from ofdm_im_slm.ccdf import BATCH_TRIALS, _batch_counts, _resolve, curve_csv_text, plan_json_doc
 
@@ -106,11 +105,11 @@ def test_same_plan_same_counts_different_seed_differs():
 
 
 def test_batch_path_matches_scalar_pipeline():
-    # replay batch 0's draw order, then select with the scalar SLM on each block
+    # replay batch 0's draw order, then select on each block with the
+    # brute-force DFT-matrix oracle of acceptance criterion 7
     scheme = SchemeDescriptor(mode="slm", u=3, pss_kind="random", perm_kind="random")
     plan = make_plan(scheme=scheme, trials=200, seed=77)
-    res = _resolve(plan)
-    batch_counts = _batch_counts(res, 0)
+    batch_counts = _batch_counts(_resolve(plan), 0)
 
     rng = np.random.default_rng(np.random.SeedSequence(77, spawn_key=(2, 0)))
     n, k, G, N = CFG.group_size, CFG.active, CFG.num_groups, CFG.n_fft
@@ -119,15 +118,23 @@ def test_batch_path_matches_scalar_pipeline():
         rows = np.sort(rng.permuted(np.tile(np.arange(n), (200, 1)), axis=1)[:, :k], axis=1)
         pos[:, g * k : (g + 1) * k] = rows * G + g
     sym_idx = rng.integers(0, 4, (200, k * G))
-    cs = Constellation.qpsk()
+    cs = Constellation.psk(4)
     pss, perms = instantiate_scheme(plan)
+    i, m = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    oracle_matrix = np.exp(2j * np.pi * i * m / N) / np.sqrt(N)  # x = X @ W
     paprs = []
     for t in range(200):
         block = np.zeros(N, dtype=complex)
         block[pos[t]] = cs.symbols[sym_idx[t]]
-        paprs.append(slm_select(block, pss, perms, CFG).papr_db.min())
-    scalar_counts = (np.array(paprs)[:, None] > GAMMA[None, :]).sum(axis=0)
-    assert np.array_equal(batch_counts, scalar_counts)
+        branch = []
+        for u in range(pss.u):
+            permuted = np.empty_like(block)
+            permuted[perms.perms[u]] = block  # out[d[i]] = in[i]
+            x = (pss.sequences[u] * permuted) @ oracle_matrix
+            branch.append(10 * np.log10(np.max(np.abs(x) ** 2) / CFG.mean_power))
+        paprs.append(min(branch))
+    oracle_counts = (np.array(paprs)[:, None] > GAMMA[None, :]).sum(axis=0)
+    assert np.array_equal(batch_counts, oracle_counts)
 
 
 def test_slm_dominates_original_paired():

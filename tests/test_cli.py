@@ -112,6 +112,35 @@ def test_ccdf_malformed_pinned_file_exit_2(tmp_path):
     assert rc == 2
 
 
+def assert_clean_exit_2(rc, capsys, tmp_path):
+    """Exit 2 with a one-line message and no output file left behind."""
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("x.*"))
+
+
+def test_ccdf_too_many_hadamard_rows_exit_2(tmp_path, capsys):
+    rc = run_cli(["ccdf", *BASE, "--pss", "hadamard", "--u", "100", "--trials", "10",
+                  "--out", str(tmp_path / "x")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+
+
+def test_ccdf_wrong_length_pss_file_exit_2(tmp_path, capsys):
+    short_cfg = SystemConfig(n_fft=16, group_size=4, active=2, mod_order=4)
+    pss_file = tmp_path / "pss16.json"
+    pss_file.write_text(json.dumps(pss_to_json(gen_random_pss(short_cfg, 2, np.random.default_rng(0)))))
+    rc = run_cli(["ccdf", *BASE, "--u", "2", "--pss", str(pss_file), "--trials", "10",
+                  "--out", str(tmp_path / "x")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("spec", ["4:13:0", "4:13:-0.1", "4:inf:0.1"])
+def test_ccdf_bad_gamma_step_exit_2(tmp_path, capsys, spec):
+    rc = run_cli(["ccdf", *BASE, "--gamma", spec, "--trials", "10", "--out", str(tmp_path / "x")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+
+
 def test_ccdf_gamma_flag(tmp_path):
     rc = run_cli(["ccdf", *BASE, "--gamma", "5:8:0.5", "--trials", "200", "--out", str(tmp_path / "g")])
     assert rc == 0
@@ -196,6 +225,11 @@ def test_analyze_pss_bad_sap_file(tmp_path):
     assert rc == 2
 
 
+def test_analyze_pss_too_many_hadamard_rows_exit_2(tmp_path, capsys):
+    rc = run_cli(["analyze-pss", *BASE, "--pss", "hadamard", "--u", "100", "--out", str(tmp_path / "x.csv")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+
+
 def test_analyze_pss_length_mismatch_exit_2(tmp_path):
     short_cfg = SystemConfig(n_fft=16, group_size=4, active=2, mod_order=4)
     pss_file = tmp_path / "pss16.json"
@@ -226,6 +260,11 @@ def test_verify_var_rho_stdout_all_lags(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 + 64
+
+
+def test_verify_var_rho_zero_trials_exit_2(tmp_path, capsys):
+    rc = run_cli(["verify-var-rho", *BASE, "--trials", "0", "--out", str(tmp_path / "x.csv")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
 
 
 def test_verify_var_rho_bad_m_values():

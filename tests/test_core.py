@@ -11,6 +11,7 @@ from ofdm_im_slm import (
     assemble_block,
     block_from_bits,
     dft,
+    draw_active_positions,
     idft,
     map_bits_to_group,
     oversampled_idft,
@@ -61,7 +62,7 @@ def test_config_invalid(kwargs):
 
 
 def test_constellation():
-    qpsk = Constellation.qpsk()
+    qpsk = Constellation.psk(4)
     assert qpsk.order == 4
     expected = {(1 + 1j), (1 - 1j), (-1 + 1j), (-1 - 1j)}
     got = {complex(round(s.real * math.sqrt(2)), round(s.imag * math.sqrt(2))) for s in qpsk.symbols}
@@ -101,14 +102,14 @@ def test_unrank_is_lexicographic():
 # bit mapping
 
 def test_map_bits_all_zero_word():
-    cs = Constellation.qpsk()
+    cs = Constellation.psk(4)
     gsap, symbols = map_bits_to_group([0] * CFG.bits_per_group, CFG, cs)
     assert gsap.rows == (0, 1)
     assert np.allclose(symbols, cs.symbols[0])
 
 
 def test_map_bits_symbol_selection():
-    cs = Constellation.qpsk()
+    cs = Constellation.psk(4)
     # index word 000001 -> subset rank 1 = {0, 2}; symbol words 01 and 10
     bits = [0, 0, 0, 0, 0, 1, 0, 1, 1, 0]
     gsap, symbols = map_bits_to_group(bits, CFG, cs)
@@ -118,7 +119,7 @@ def test_map_bits_symbol_selection():
 
 def test_map_bits_wrong_length():
     with pytest.raises(ValueError):
-        map_bits_to_group([0] * 3, CFG, Constellation.qpsk())
+        map_bits_to_group([0] * 3, CFG, Constellation.psk(4))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ def test_assemble_interleaved_example():
 
 def test_assemble_single_group_identity_placement():
     cfg = SystemConfig(n_fft=8, group_size=8, active=3, mod_order=4)
-    cs = Constellation.qpsk()
+    cs = Constellation.psk(4)
     sym = cs.symbols[[0, 1, 2]]
     block, sap = assemble_block([(GroupSap((0, 4, 6)), sym)], cfg)
     assert np.all(block[[0, 4, 6]] == sym)
@@ -149,7 +150,7 @@ def test_assemble_group_count_mismatch():
 
 def test_assemble_deinterleave_roundtrip():
     rng = np.random.default_rng(3)
-    cs = Constellation.qpsk()
+    cs = Constellation.psk(4)
     groups = []
     for _ in range(CFG.num_groups):
         rows = tuple(sorted(rng.permutation(16)[:2].tolist()))
@@ -165,7 +166,7 @@ def test_assemble_deinterleave_roundtrip():
 
 
 def test_block_from_bits_roundtrip_positions():
-    cs = Constellation.qpsk()
+    cs = Constellation.psk(4)
     bits = [0] * (CFG.bits_per_group * CFG.num_groups)
     block, sap = block_from_bits(bits, CFG, cs)
     # every group at subset {0,1}: active indices are G*r+g for r in {0,1}
@@ -184,6 +185,18 @@ def test_sample_random_sap_structure():
         assert len(gsap.rows) == CFG.active
         members = [i for i in sap.active if i % CFG.num_groups == g]
         assert len(members) == CFG.active
+
+
+def test_sample_random_sap_is_one_row_of_the_batch_sampler():
+    # one pattern consumes the stream exactly like per-group rng.permutation,
+    # and like a one-trial draw of the batch sampler
+    for seed in range(50):
+        a, b, c = (np.random.default_rng(seed) for _ in range(3))
+        sap = sample_random_sap(CFG, a)
+        assert sap.active == tuple(sorted(draw_active_positions(CFG, 1, b)[0].tolist()))
+        legacy = [sorted(c.permutation(CFG.group_size)[: CFG.active].tolist()) for _ in range(CFG.num_groups)]
+        assert [list(g.rows) for g in sap.groups] == legacy
+        assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
 
 
 def test_sample_random_sap_marginals():
@@ -258,7 +271,7 @@ def test_papr_interleaved_example_vs_oracle():
 def test_unit_modulus_block_energy_is_exact():
     # QPSK symbols: block energy is exactly K, so mean |x|^2 is exactly k/n
     rng = np.random.default_rng(23)
-    cs = Constellation.qpsk()
+    cs = Constellation.psk(4)
     groups = []
     for _ in range(CFG.num_groups):
         rows = tuple(sorted(rng.permutation(16)[:2].tolist()))

@@ -11,6 +11,7 @@ from ofdm_im_slm import (
     all_ones_pss,
     apply_permutation,
     assemble_block,
+    candidate_paprs_db,
     cyclic_hadamard_matrix,
     gen_hadamard_pss,
     gen_mls,
@@ -35,7 +36,7 @@ CFG8 = SystemConfig(n_fft=8, group_size=4, active=2, mod_order=4)
 
 def random_block(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    cs = Constellation.qpsk()
+    cs = Constellation.psk(4)
     groups = []
     for _ in range(cfg.num_groups):
         rows = tuple(sorted(rng.permutation(cfg.group_size)[: cfg.active].tolist()))
@@ -152,6 +153,10 @@ def test_pss_validation():
         PhaseSequenceSet(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError, match="identical"):
         PhaseSequenceSet(np.ones((2, 8), dtype=complex))
+    rows = np.exp(1j * np.pi / 2 * np.random.default_rng(1).integers(0, 4, (4, 8)))
+    rows[3] = rows[1]  # a non-adjacent duplicate
+    with pytest.raises(ValueError, match="identical"):
+        PhaseSequenceSet(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +190,15 @@ def test_explicit_perm_closure_violation_rejected():
         validate_permutation(np.zeros(64, dtype=int), CFG)
 
 
+def test_permutation_set_rejects_any_non_bijective_row():
+    perms = np.tile(np.arange(8), (3, 1))
+    perms[2, 5] = 4
+    with pytest.raises(ValueError, match="permutation"):
+        PermutationSet(perms)
+    with pytest.raises(ValueError, match="length"):
+        PermutationSet(np.tile(np.arange(8), (2, 1))).check(CFG)
+
+
 def test_force_identity_first():
     rng = np.random.default_rng(5)
     perms = gen_perm_set(CFG, 3, "random", rng, force_identity_first=True)
@@ -206,7 +220,7 @@ def test_apply_permutation_identity_and_inverse():
 def test_apply_permutation_group_swap_example():
     # swap rows 1 and 3 of group 0 (indices 2 and 6): active set unchanged,
     # the two symbols trade places
-    cs = Constellation.qpsk()
+    cs = Constellation.psk(4)
     g0 = (GroupSap((1, 3)), cs.symbols[[0, 1]])
     g1 = (GroupSap((0, 1)), cs.symbols[[2, 3]])
     block, sap = assemble_block([g0, g1], CFG8)
@@ -270,6 +284,21 @@ def test_slm_never_worse_than_first_branch():
         baseline = papr_db(idft(block), CFG)
         result = slm_select(block, pss, perms, CFG)
         assert result.papr_db.min() <= baseline + 1e-12
+
+
+def test_candidate_paprs_batch_matches_single_blocks():
+    rng = np.random.default_rng(16)
+    pss = gen_random_pss(CFG, 4, rng)
+    perm_inv = np.argsort(gen_perm_set(CFG, 4, "random", rng).perms, axis=1)
+    blocks = np.array([random_block(CFG, seed=200 + s)[0] for s in range(5)])
+    batch = candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power)
+    assert batch.shape == (5, 4)
+    for t in range(5):
+        single = candidate_paprs_db(blocks[t], pss.sequences, perm_inv, CFG.mean_power)
+        assert np.array_equal(single, batch[t])
+    # oversampling only adds samples between the Nyquist-rate ones
+    over = candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=4)
+    assert np.all(over >= batch - 1e-9)
 
 
 def test_slm_size_mismatch():
