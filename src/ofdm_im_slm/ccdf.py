@@ -1,8 +1,9 @@
 """Seeded Monte-Carlo CCDF estimation of PAPR for configurable schemes.
 
 Reproducibility contract: all randomness in a run derives from the plan
-seed. The generator sets are instantiated once from stream (seed, 0) in a
-fixed order (phase sequences first, then permutations); trial blocks are
+seed. The generator sets are instantiated once per plan
+(``TrialPlan.generator_sets``) from stream (seed, 0) in a fixed order
+(phase sequences first, then permutations); trial blocks are
 drawn in fixed-size batches of BATCH_TRIALS, batch b using stream
 (seed, 2, b). Workers only partition whole batches and the reduction is
 integer addition, so identical plans give bit-identical exceedance counts
@@ -10,9 +11,12 @@ for any worker count.
 
 Per-batch draw order (per trial block): for each group in order, the
 active rows (uniform subset, or ranked-word lookup in bits mode), then all
-symbol indices. The candidates are those of ``slm.slm_select``
-(``candidate_paprs_db``); exceedances of the selected branch are counted
-per gamma.
+symbol indices. The candidates are those of ``slm.slm_select``: one call
+of ``slm.candidate_paprs_db`` per batch, which permutes, phase-rotates and
+transforms all U candidates of a tile of blocks with one batched
+(zero-padded) IDFT and keeps only each candidate's peak power. The lowest
+candidate PAPR of each trial is counted against the gamma grid with one
+sorted search and a histogram.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import math
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +112,11 @@ class TrialPlan:
         if self.oversample < 1 or int(self.oversample) != self.oversample:
             raise ValueError("oversample must be a positive integer")
 
+    @cached_property
+    def generator_sets(self) -> tuple:
+        """(pss, perms) from ``instantiate_scheme``, built on first use and kept."""
+        return instantiate_scheme(self)
+
 
 @dataclass(frozen=True)
 class CcdfCurve:
@@ -179,7 +189,7 @@ class _Resolved:
 
 def _resolve(plan: TrialPlan) -> _Resolved:
     cfg = plan.cfg
-    pss, perms = instantiate_scheme(plan)
+    pss, perms = plan.generator_sets
     table = None
     if plan.scheme.sap_source == "bits":
         words = 1 << cfg.index_bits
@@ -212,8 +222,17 @@ def _batch_counts(res: _Resolved, batch_index: int) -> np.ndarray:
     np.put_along_axis(block, pos, res.symbols[sym_idx], axis=1)
 
     paprs = candidate_paprs_db(block, res.pss_seq, res.perm_inv, cfg.mean_power, plan.oversample)
-    best = paprs.min(axis=-1)
-    return np.sum(best[:, None] > plan.gamma_db[None, :], axis=0, dtype=np.int64)
+    return _exceedance_counts(paprs.min(axis=-1), plan.gamma_db)
+
+
+def _exceedance_counts(values: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Per gamma, how many values are strictly above it (gamma increasing).
+
+    A value equal to a grid point is not above it: side="left" gives the
+    number of grid points strictly below each value.
+    """
+    below = np.bincount(np.searchsorted(gamma, values, side="left"), minlength=gamma.size + 1)
+    return values.size - np.cumsum(below[:-1], dtype=np.int64)
 
 
 _WORKER_RESOLVED = None

@@ -37,7 +37,6 @@ from .ccdf import (
     TrialPlan,
     curve_csv_text,
     format_sig9,
-    instantiate_scheme,
     plan_json_doc,
     run_ccdf,
 )
@@ -175,7 +174,7 @@ def cmd_ccdf(args) -> int:
         raise CliError(2, f"invalid plan: {e}")
 
     try:
-        pss, perms = instantiate_scheme(plan)
+        pss, perms = plan.generator_sets
     except ValueError as e:
         raise CliError(2, f"invalid generator sets: {e}")
 

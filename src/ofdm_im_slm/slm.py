@@ -113,7 +113,8 @@ class PhaseSequenceSet:
         object.__setattr__(self, "sequences", seq)
         if seq.shape[0] < 1:
             raise ValueError("need at least one phase sequence")
-        if np.max(np.abs(np.abs(seq) - 1.0)) > 1e-12:
+        # written so that a NaN entry fails too
+        if not np.all(np.abs(np.abs(seq) - 1.0) <= 1e-12):
             raise ValueError("phase sequence entries must have unit modulus")
         # lexicographic row order puts identical rows next to each other
         rows = seq[np.lexsort(np.concatenate([seq.real, seq.imag], axis=1).T)]
@@ -131,8 +132,8 @@ class PhaseSequenceSet:
 
 def gen_hadamard_pss(cfg: SystemConfig, u: int, taps: tuple = ()) -> PhaseSequenceSet:
     """First u rows of the cyclic Hadamard matrix as a PSS (row 0 = all-ones)."""
-    if u > cfg.n_fft:
-        raise ValueError(f"u={u} exceeds n_fft={cfg.n_fft}")
+    if not 1 <= u <= cfg.n_fft:
+        raise ValueError(f"u={u} is not in 1..n_fft={cfg.n_fft}")
     degree = cfg.n_fft.bit_length() - 1
     h = cyclic_hadamard_matrix(degree, taps)
     return PhaseSequenceSet(h[:u].astype(complex), kind="cyclic-hadamard")
@@ -280,6 +281,11 @@ class SlmResult:
     papr_db: np.ndarray
 
 
+# complex outputs per tile of the candidate kernel (512 KiB): the signals
+# stay in cache until their peaks are taken
+_TILE_OUTPUTS = 1 << 15
+
+
 def candidate_paprs_db(
     blocks: np.ndarray, pss_seq: np.ndarray, perm_inv: np.ndarray, mean_power: float, oversample: int = 1
 ) -> np.ndarray:
@@ -287,14 +293,28 @@ def candidate_paprs_db(
 
     Candidate u gathers the block by the inverse of permutation u (entry i
     lands at d_u[i]), multiplies by phase row u and applies the unitary
-    IDFT, zero-padded by ``oversample``. Only one candidate is held at a time.
+    IDFT, zero-padded by ``oversample``. All candidates of a tile of blocks
+    go through one batched transform, and only their peak powers are kept,
+    so no more than a tile of candidate signals is held at a time.
     """
-    blocks = np.asarray(blocks)
-    peaks = np.empty(blocks.shape[:-1] + (pss_seq.shape[0],))
-    for u in range(pss_seq.shape[0]):
-        x = oversampled_idft(blocks[..., perm_inv[u]] * pss_seq[u], oversample)
-        peaks[..., u] = (np.abs(x) ** 2).max(axis=-1)
-    return 10.0 * np.log10(peaks / mean_power)
+    blocks = np.asarray(blocks, dtype=complex)
+    n, u = blocks.shape[-1], pss_seq.shape[0]
+    flat = blocks.reshape(-1, n)
+    peaks = np.empty((flat.shape[0], u))
+    # an oversample below 1 gets past this line and is rejected by oversampled_idft
+    step = max(1, _TILE_OUTPUTS // (u * n * max(oversample, 1)))
+    for start in range(0, flat.shape[0], step):
+        # take, unlike fancy indexing, returns C order, which the float view below needs
+        candidates = np.take(flat[start : start + step], perm_inv, axis=1)
+        candidates *= pss_seq
+        x = oversampled_idft(candidates.reshape(-1, n), oversample)
+        # |x|^2 as re^2 + im^2, in place on the float view
+        parts = x.view(np.float64)
+        np.square(parts, out=parts)
+        power = parts[:, 0::2]
+        np.add(power, parts[:, 1::2], out=power)
+        peaks[start : start + step] = power.max(axis=-1).reshape(-1, u)
+    return 10.0 * np.log10(peaks / mean_power).reshape(blocks.shape[:-1] + (u,))
 
 
 def slm_select(

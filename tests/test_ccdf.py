@@ -13,7 +13,14 @@ from ofdm_im_slm import (
     papr_at_ccdf,
     run_ccdf,
 )
-from ofdm_im_slm.ccdf import BATCH_TRIALS, _batch_counts, _resolve, curve_csv_text, plan_json_doc
+from ofdm_im_slm.ccdf import (
+    BATCH_TRIALS,
+    _batch_counts,
+    _exceedance_counts,
+    _resolve,
+    curve_csv_text,
+    plan_json_doc,
+)
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
 CFG14 = SystemConfig(n_fft=64, group_size=16, active=14, mod_order=4)
@@ -104,26 +111,25 @@ def test_same_plan_same_counts_different_seed_differs():
     assert not np.array_equal(a.counts, c.counts)
 
 
-def test_batch_path_matches_scalar_pipeline():
-    # replay batch 0's draw order, then select on each block with the
-    # brute-force DFT-matrix oracle of acceptance criterion 7
-    scheme = SchemeDescriptor(mode="slm", u=3, pss_kind="random", perm_kind="random")
-    plan = make_plan(scheme=scheme, trials=200, seed=77)
-    batch_counts = _batch_counts(_resolve(plan), 0)
-
-    rng = np.random.default_rng(np.random.SeedSequence(77, spawn_key=(2, 0)))
+def replayed_oracle_counts(plan):
+    """Counts of batch 0 from its replayed draws, selected per block with the
+    brute-force (zero-padded) DFT-matrix oracle of acceptance criterion 7."""
+    trials, L = plan.trials, plan.oversample
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(2, 0)))
     n, k, G, N = CFG.group_size, CFG.active, CFG.num_groups, CFG.n_fft
-    pos = np.empty((200, k * G), dtype=np.intp)
+    pos = np.empty((trials, k * G), dtype=np.intp)
     for g in range(G):
-        rows = np.sort(rng.permuted(np.tile(np.arange(n), (200, 1)), axis=1)[:, :k], axis=1)
+        rows = np.sort(rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)[:, :k], axis=1)
         pos[:, g * k : (g + 1) * k] = rows * G + g
-    sym_idx = rng.integers(0, 4, (200, k * G))
+    sym_idx = rng.integers(0, 4, (trials, k * G))
     cs = Constellation.psk(4)
     pss, perms = instantiate_scheme(plan)
-    i, m = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    oracle_matrix = np.exp(2j * np.pi * i * m / N) / np.sqrt(N)  # x = X @ W
+    # bins at or above N/2 are negative frequencies of the zero-padded spectrum
+    freq = np.where(np.arange(N) < N // 2, np.arange(N), np.arange(N) - N)
+    i, m = np.meshgrid(freq, np.arange(N * L), indexing="ij")
+    oracle_matrix = np.exp(2j * np.pi * i * m / (N * L)) / np.sqrt(N)  # x = X @ W
     paprs = []
-    for t in range(200):
+    for t in range(trials):
         block = np.zeros(N, dtype=complex)
         block[pos[t]] = cs.symbols[sym_idx[t]]
         branch = []
@@ -133,8 +139,43 @@ def test_batch_path_matches_scalar_pipeline():
             x = (pss.sequences[u] * permuted) @ oracle_matrix
             branch.append(10 * np.log10(np.max(np.abs(x) ** 2) / CFG.mean_power))
         paprs.append(min(branch))
-    oracle_counts = (np.array(paprs)[:, None] > GAMMA[None, :]).sum(axis=0)
-    assert np.array_equal(batch_counts, oracle_counts)
+    return (np.array(paprs)[:, None] > plan.gamma_db[None, :]).sum(axis=0)
+
+
+def test_batch_path_matches_scalar_pipeline():
+    scheme = SchemeDescriptor(mode="slm", u=3, pss_kind="random", perm_kind="random")
+    plan = make_plan(scheme=scheme, trials=200, seed=77)
+    assert np.array_equal(_batch_counts(_resolve(plan), 0), replayed_oracle_counts(plan))
+
+
+def test_oversampled_batch_path_matches_zero_padded_oracle():
+    scheme = SchemeDescriptor(mode="slm", u=3, pss_kind="random", perm_kind="random")
+    plan = make_plan(scheme=scheme, trials=200, seed=78, oversample=4)
+    counts = _batch_counts(_resolve(plan), 0)
+    assert np.array_equal(counts, replayed_oracle_counts(plan))
+    # the zero-padded envelope reaches values the Nyquist samples miss
+    nyquist = _batch_counts(_resolve(make_plan(scheme=scheme, trials=200, seed=78)), 0)
+    assert np.all(counts >= nyquist) and np.any(counts > nyquist)
+
+
+def test_exceedance_counts_match_broadcast_comparison():
+    rng = np.random.default_rng(5)
+    # random values, values exactly on grid points (never above them), both ends
+    values = np.concatenate([rng.uniform(3.0, 14.0, 500), GAMMA[::3], GAMMA[[0, -1]], [-np.inf, np.inf]])
+    counts = _exceedance_counts(values, GAMMA)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.sum(values[:, None] > GAMMA[None, :], axis=0))
+    on_grid = _exceedance_counts(GAMMA[[10]], GAMMA)
+    assert on_grid[10] == 0 and on_grid[9] == 1
+
+
+def test_generator_sets_built_once_per_plan():
+    plan = make_plan(scheme=SchemeDescriptor(mode="slm", u=2, pss_kind="random", perm_kind="random"))
+    pss, perms = plan.generator_sets
+    assert plan.generator_sets[0] is pss and plan.generator_sets[1] is perms
+    fresh_pss, fresh_perms = instantiate_scheme(plan)
+    assert np.array_equal(pss.sequences, fresh_pss.sequences)
+    assert np.array_equal(perms.perms, fresh_perms.perms)
 
 
 def test_slm_dominates_original_paired():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ofdm_im_slm import __version__, gen_perm_set, gen_random_pss, SystemConfig
+from ofdm_im_slm import __version__, ccdf, cli, gen_perm_set, gen_random_pss, SystemConfig
 from ofdm_im_slm.cli import main
 from ofdm_im_slm.slm import perm_set_to_json, pss_to_json
 
@@ -55,6 +55,18 @@ def test_ccdf_different_seed_changes_output(tmp_path):
     run_cli([*args, "--seed", "1", "--out", str(tmp_path / "a")])
     run_cli([*args, "--seed", "2", "--out", str(tmp_path / "b")])
     assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
+
+def test_ccdf_builds_generator_sets_once(tmp_path, monkeypatch):
+    calls = []
+    original = ccdf.instantiate_scheme
+    # patched wherever the CLI could look the name up
+    for module in (ccdf, cli):
+        monkeypatch.setattr(module, "instantiate_scheme", lambda plan: calls.append(plan) or original(plan),
+                            raising=False)
+    rc = run_cli(["ccdf", *BASE, "--u", "2", "--perm", "random", "--trials", "100",
+                  "--out", str(tmp_path / "once")])
+    assert rc == 0 and len(calls) == 1
 
 
 def test_ccdf_original_rejects_slm_flags(tmp_path):
@@ -131,6 +143,15 @@ def test_ccdf_wrong_length_pss_file_exit_2(tmp_path, capsys):
     pss_file = tmp_path / "pss16.json"
     pss_file.write_text(json.dumps(pss_to_json(gen_random_pss(short_cfg, 2, np.random.default_rng(0)))))
     rc = run_cli(["ccdf", *BASE, "--u", "2", "--pss", str(pss_file), "--trials", "10",
+                  "--out", str(tmp_path / "x")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+
+
+def test_ccdf_nan_pss_file_exit_2(tmp_path, capsys):
+    # NaN phases must not pass the unit-modulus check and yield all-zero counts
+    pss_file = tmp_path / "nan.json"
+    pss_file.write_text(json.dumps({"kind": "explicit", "n_fft": 64, "phases": [[float("nan")] * 64] * 2}))
+    rc = run_cli(["ccdf", *BASE, "--u", "2", "--pss", str(pss_file), "--trials", "100",
                   "--out", str(tmp_path / "x")])
     assert_clean_exit_2(rc, capsys, tmp_path)
 
@@ -227,6 +248,13 @@ def test_analyze_pss_bad_sap_file(tmp_path):
 
 def test_analyze_pss_too_many_hadamard_rows_exit_2(tmp_path, capsys):
     rc = run_cli(["analyze-pss", *BASE, "--pss", "hadamard", "--u", "100", "--out", str(tmp_path / "x.csv")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("u", ["0", "-1"])
+def test_analyze_pss_nonpositive_hadamard_u_exit_2(tmp_path, capsys, u):
+    rc = run_cli(["analyze-pss", *BASE, "--pss", "hadamard", "--u", u, "--pair", "1", "2",
+                  "--out", str(tmp_path / "x.csv")])
     assert_clean_exit_2(rc, capsys, tmp_path)
 
 

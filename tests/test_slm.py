@@ -106,6 +106,13 @@ def test_gen_hadamard_pss():
         gen_hadamard_pss(CFG, 65)
 
 
+@pytest.mark.parametrize("u", [0, -1])
+def test_gen_hadamard_pss_rejects_nonpositive_u(u):
+    # h[:u] with u <= 0 would silently drop rows instead of failing
+    with pytest.raises(ValueError, match="not in 1"):
+        gen_hadamard_pss(CFG, u)
+
+
 def test_hadamard_pair_small_c():
     # recorded flat-spectrum constant for rows (1,2) of the 64-point matrix
     pss = gen_hadamard_pss(CFG, 3)
@@ -151,6 +158,11 @@ def test_random_quaternary_pair_below_flat_bound():
 def test_pss_validation():
     with pytest.raises(ValueError, match="unit modulus"):
         PhaseSequenceSet(np.array([[1.0, 2.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unit modulus"):
+            PhaseSequenceSet(np.array([[1.0, bad], [1.0, -1.0]]))
+    with pytest.raises(ValueError, match="unit modulus"):
+        pss_from_json({"phases": [[0.0, float("nan")], [0.0, 1.0]]})
     with pytest.raises(ValueError, match="identical"):
         PhaseSequenceSet(np.ones((2, 8), dtype=complex))
     rows = np.exp(1j * np.pi / 2 * np.random.default_rng(1).integers(0, 4, (4, 8)))
@@ -299,6 +311,11 @@ def test_candidate_paprs_batch_matches_single_blocks():
     # oversampling only adds samples between the Nyquist-rate ones
     over = candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=4)
     assert np.all(over >= batch - 1e-9)
+    # a real-valued block is a complex block with zero imaginary parts
+    real = candidate_paprs_db(blocks.real, pss.sequences, perm_inv, CFG.mean_power)
+    assert np.array_equal(real, candidate_paprs_db(blocks.real + 0j, pss.sequences, perm_inv, CFG.mean_power))
+    with pytest.raises(ValueError, match="oversampling"):
+        candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=0)
 
 
 def test_slm_size_mismatch():
