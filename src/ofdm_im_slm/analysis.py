@@ -73,11 +73,17 @@ def var_rho_empirical_profile(
     while done < trials:
         b = min(chunk, trials - done)
         pos = draw_active_positions(cfg, b, rng)
-        alpha = np.zeros((b, N))
-        np.put_along_axis(alpha, pos, 1.0, axis=1)
-        rho = np.fft.fft(alpha, axis=1) / cfg.total_active
-        acc_abs2 += np.sum(np.abs(rho) ** 2, axis=0)
+        # one (b, N) complex array transformed in place, plus its magnitudes
+        rho = np.zeros((b, N), dtype=complex)
+        np.put_along_axis(rho, pos, 1.0, axis=1)
+        np.fft.fft(rho, axis=1, out=rho)
+        rho /= cfg.total_active
         acc_mean += np.sum(rho, axis=0)
+        abs2 = np.abs(rho)
+        np.square(abs2, out=abs2)
+        acc_abs2 += np.sum(abs2, axis=0)
+        # free this chunk's arrays before the next one is drawn
+        del rho, abs2
         done += b
     return acc_abs2 / trials - np.abs(acc_mean / trials) ** 2
 

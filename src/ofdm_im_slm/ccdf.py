@@ -12,11 +12,12 @@ for any worker count.
 Per-batch draw order (per trial block): for each group in order, the
 active rows (uniform subset, or ranked-word lookup in bits mode), then all
 symbol indices. The candidates are those of ``slm.slm_select``: one call
-of ``slm.candidate_paprs_db`` per batch, which permutes, phase-rotates and
-transforms all U candidates of a tile of blocks with one batched
-(zero-padded) IDFT and keeps only each candidate's peak power. The lowest
-candidate PAPR of each trial is counted against the gamma grid with one
-sorted search and a histogram.
+of ``slm.candidate_paprs_db`` per batch, which permutes and phase-rotates
+all U candidates of a tile of blocks, transforms them with one batched,
+unnormalised (zero-padded) FFT into buffers reused by every tile, and keeps
+only each candidate's peak power, scaled by the unitary factor 1/N. The
+lowest candidate PAPR of each trial is counted against the gamma grid with
+one sorted search and a histogram.
 """
 
 from __future__ import annotations

@@ -18,8 +18,11 @@ Exit codes: 0 success, 2 invalid configuration or malformed input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -95,17 +98,51 @@ def _read_json(path: str) -> dict:
 
 
 def _write_text(path: str, text: str):
+    """Write to a temporary file in the target directory, then rename it over
+    ``path``, so a run that fails leaves no partial or empty output."""
+    target = os.path.realpath(path)
     try:
-        with open(path, "w") as f:
-            f.write(text)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".", suffix=".tmp")
     except OSError as e:
         raise CliError(3, f"cannot write {path}: {e}")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.chmod(tmp, _open_mode(target))
+        os.replace(tmp, target)
+    except OSError as e:
+        raise CliError(3, f"cannot write {path}: {e}")
+    finally:
+        # already gone after a successful rename
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def _open_mode(target: str) -> int:
+    """The mode ``open(target, "w")`` leaves: an existing file keeps its own,
+    a new one gets 0o666 less the umask."""
+    try:
+        return os.stat(target).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _check_writable(path: str):
+    """Exit 3 before a run whose output could not be written; create nothing.
+
+    An existing ``path`` must open for writing, and its directory must take
+    the temporary file that ``_write_text`` renames into place.
+    """
+    target = os.path.realpath(path)
     try:
-        with open(path, "a"):
-            pass
+        if os.path.exists(target):
+            with open(target, "a"):
+                pass
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".", suffix=".tmp")
+        os.close(fd)
+        os.remove(tmp)
     except OSError as e:
         raise CliError(3, f"cannot write {path}: {e}")
 

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GroupSap, Sap, SystemConfig, idft, oversampled_idft
+from .core import GroupSap, Sap, SystemConfig, idft
 
 # Feedback polynomials x^m + ... + 1 known to generate maximal-length
 # sequences, given as exponent tuples. Each entry is re-verified at
@@ -292,29 +292,44 @@ def candidate_paprs_db(
     """PAPR in dB of every SLM candidate: (..., N) blocks -> (..., U).
 
     Candidate u gathers the block by the inverse of permutation u (entry i
-    lands at d_u[i]), multiplies by phase row u and applies the unitary
-    IDFT, zero-padded by ``oversample``. All candidates of a tile of blocks
-    go through one batched transform, and only their peak powers are kept,
-    so no more than a tile of candidate signals is held at a time.
+    lands at d_u[i]), multiplies by phase row u and applies the IDFT,
+    zero-padded by ``oversample`` with indices at or above N/2 as negative
+    frequencies (the layout of ``core.oversampled_idft``). All candidates of
+    a tile of blocks go through one batched FFT without normalisation, and
+    only their peak powers are kept; the unitary factor 1/N scales those
+    peaks alone. The padded spectrum, signal and power buffers are allocated
+    once per call and reused by every tile, so the zero band is written once.
+    When N is a power of 4 and ``oversample`` a power of 2 every scale factor
+    is a power of two, and the result is bit-identical to taking the peaks of
+    ``core.oversampled_idft``.
     """
+    if oversample < 1 or int(oversample) != oversample:
+        raise ValueError("oversampling factor must be a positive integer")
     blocks = np.asarray(blocks, dtype=complex)
     n, u = blocks.shape[-1], pss_seq.shape[0]
     flat = blocks.reshape(-1, n)
-    peaks = np.empty((flat.shape[0], u))
-    # an oversample below 1 gets past this line and is rejected by oversampled_idft
-    step = max(1, _TILE_OUTPUTS // (u * n * max(oversample, 1)))
-    for start in range(0, flat.shape[0], step):
-        # take, unlike fancy indexing, returns C order, which the float view below needs
-        candidates = np.take(flat[start : start + step], perm_inv, axis=1)
-        candidates *= pss_seq
-        x = oversampled_idft(candidates.reshape(-1, n), oversample)
-        # |x|^2 as re^2 + im^2, in place on the float view
-        parts = x.view(np.float64)
+    rows, width, half = flat.shape[0], n * int(oversample), n // 2
+    step = max(1, _TILE_OUTPUTS // (u * width))
+    tile = min(rows, step)
+    padded = np.zeros((tile, u, width), dtype=complex) if width > n else None
+    signal = np.empty((tile, u, width), dtype=complex)
+    power = np.empty((tile, u, width))
+    peaks = np.empty((rows, u))
+    for start in range(0, rows, step):
+        t = min(step, rows - start)
+        spectrum = np.take(flat[start : start + t], perm_inv, axis=1)
+        spectrum *= pss_seq
+        if padded is not None:
+            padded[:t, :, :half] = spectrum[..., :half]
+            padded[:t, :, width - (n - half) :] = spectrum[..., half:]
+            spectrum = padded[:t]
+        np.fft.ifft(spectrum, axis=-1, norm="forward", out=signal[:t])
+        # |x|^2 as re^2 + im^2: square the float view in place, add into power
+        parts = signal[:t].view(np.float64)
         np.square(parts, out=parts)
-        power = parts[:, 0::2]
-        np.add(power, parts[:, 1::2], out=power)
-        peaks[start : start + step] = power.max(axis=-1).reshape(-1, u)
-    return 10.0 * np.log10(peaks / mean_power).reshape(blocks.shape[:-1] + (u,))
+        np.add(parts[..., 0::2], parts[..., 1::2], out=power[:t])
+        power[:t].max(axis=-1, out=peaks[start : start + t])
+    return 10.0 * np.log10(peaks * (1.0 / n) / mean_power).reshape(blocks.shape[:-1] + (u,))
 
 
 def slm_select(

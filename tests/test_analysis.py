@@ -8,6 +8,7 @@ from ofdm_im_slm import (
     SystemConfig,
     all_ones_pss,
     cov_alt_signals,
+    draw_active_positions,
     gen_hadamard_pss,
     gen_perm_set,
     gen_random_pss,
@@ -94,6 +95,20 @@ def test_var_rho_profile_matches_single_lag():
         closed = var_rho_closed_form(CFG, m)
         assert abs(profile[m] - closed) / closed < 0.05
     assert profile[16] < 1e-20 and profile[32] < 1e-20
+
+
+def test_var_rho_profile_equals_out_of_place_expression():
+    # the chunk size is part of the stream: 7000 + 7000 + 1000 draws
+    profile = var_rho_empirical_profile(CFG, 15000, np.random.default_rng(3), chunk=7000)
+    rng = np.random.default_rng(3)
+    acc_abs2, acc_mean = np.zeros(64), np.zeros(64, dtype=complex)
+    for b in (7000, 7000, 1000):
+        alpha = np.zeros((b, 64))
+        np.put_along_axis(alpha, draw_active_positions(CFG, b, rng), 1.0, axis=1)
+        rho = np.fft.fft(alpha, axis=1) / CFG.total_active
+        acc_abs2 += np.sum(np.abs(rho) ** 2, axis=0)
+        acc_mean += np.sum(rho, axis=0)
+    assert np.array_equal(profile, acc_abs2 / 15000 - np.abs(acc_mean / 15000) ** 2)
 
 
 def test_var_rho_empirical_rejects_bad_trials():

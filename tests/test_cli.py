@@ -101,6 +101,26 @@ def test_ccdf_unwritable_path_exit_3(tmp_path):
     assert rc == 3
 
 
+def test_ccdf_failed_run_leaves_no_output(tmp_path, monkeypatch):
+    def fail(plan, workers=1):
+        raise MemoryError("run failed")
+
+    monkeypatch.setattr(cli, "run_ccdf", fail)
+    with pytest.raises(MemoryError):
+        run_cli(["ccdf", *BASE, "--trials", "10", "--out", str(tmp_path / "run")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ccdf_rewrite_replaces_output_and_keeps_its_mode(tmp_path):
+    args = ["ccdf", *BASE, "--trials", "100", "--out", str(tmp_path / "run")]
+    assert run_cli([*args, "--seed", "1"]) == 0
+    (tmp_path / "run.csv").chmod(0o640)
+    assert run_cli([*args, "--seed", "2"]) == 0
+    assert (tmp_path / "run.csv").stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json"]
+    assert '"seed": 2' in (tmp_path / "run.json").read_text()
+
+
 def test_ccdf_pinned_sets_from_files(tmp_path):
     rng = np.random.default_rng(8)
     pss_file = tmp_path / "pss.json"

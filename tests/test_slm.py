@@ -318,6 +318,41 @@ def test_candidate_paprs_batch_matches_single_blocks():
         candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=0)
 
 
+@pytest.mark.parametrize("oversample", [1, 4])
+def test_candidate_paprs_rows_across_tiles_match_single_blocks(oversample):
+    # 300 blocks are tiles of 128 (L=1) or 32 (L=4) rows with a shorter last tile
+    rng = np.random.default_rng(17)
+    pss = gen_random_pss(CFG, 4, rng)
+    perm_inv = gen_perm_set(CFG, 4, "random", rng).inverse
+    blocks = np.array([random_block(CFG, seed=300 + s)[0] for s in range(300)])
+    batch = candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample)
+    for t in range(300):
+        single = candidate_paprs_db(blocks[t], pss.sequences, perm_inv, CFG.mean_power, oversample)
+        assert np.array_equal(single, batch[t])
+
+
+@pytest.mark.parametrize("n_fft", [32, 128])
+@pytest.mark.parametrize("oversample", [1, 3])
+def test_candidate_paprs_match_zero_padded_dft_matrix(n_fft, oversample):
+    # N not a power of 4, L not a power of 2: where scaling the peaks alone may
+    # round differently from a unitary IDFT of every sample
+    rng = np.random.default_rng(n_fft + oversample)
+    u, mean_power = 3, 0.5
+    pss = np.exp(0.5j * np.pi * rng.integers(0, 4, (u, n_fft)))
+    perms = np.array([rng.permutation(n_fft) for _ in range(u)])
+    blocks = np.exp(0.5j * np.pi * rng.integers(0, 4, (7, n_fft))) * (rng.random((7, n_fft)) < 0.5)
+    got = candidate_paprs_db(blocks, pss, np.argsort(perms, axis=1), mean_power, oversample)
+    # bins at or above N/2 are negative frequencies of the zero-padded spectrum
+    freq = np.where(np.arange(n_fft) < n_fft // 2, np.arange(n_fft), np.arange(n_fft) - n_fft)
+    dft = np.exp(2j * np.pi * np.outer(freq, np.arange(n_fft * oversample)) / (n_fft * oversample))
+    for t in range(blocks.shape[0]):
+        for v in range(u):
+            permuted = np.empty(n_fft, dtype=complex)
+            permuted[perms[v]] = blocks[t]  # out[d[i]] = in[i]
+            x = (pss[v] * permuted) @ dft / np.sqrt(n_fft)
+            assert abs(got[t, v] - 10 * np.log10(np.max(np.abs(x) ** 2) / mean_power)) < 1e-9
+
+
 def test_slm_size_mismatch():
     block, _ = random_block(CFG, seed=13)
     with pytest.raises(ValueError, match="sequences"):
