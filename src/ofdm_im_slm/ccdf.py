@@ -23,6 +23,7 @@ one sorted search and a histogram.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Constellation, SystemConfig, draw_active_positions, subset_unrank
+from .core import Constellation, SystemConfig, draw_active_positions
 from .slm import (
     PermutationSet,
     PhaseSequenceSet,
@@ -45,6 +46,11 @@ from .slm import (
 )
 
 BATCH_TRIALS = 4096
+
+# Largest bits-mode pattern table, in entries (patterns x active rows): 32 MiB
+# of indices. The table holds all 2^index_bits patterns, so it grows with
+# C(n, k); n=32, k=16 would need 2^29 patterns.
+MAX_SUBSET_TABLE_ENTRIES = 1 << 22
 
 PSS_KINDS = ("random", "cyclic-hadamard", "pinned", "all-ones")
 PERM_KINDS = ("identity", "random", "pinned")
@@ -112,6 +118,12 @@ class TrialPlan:
             raise ValueError("gamma grid must be strictly increasing")
         if self.oversample < 1 or int(self.oversample) != self.oversample:
             raise ValueError("oversample must be a positive integer")
+        cfg = self.cfg
+        if self.scheme.sap_source == "bits" and (cfg.active << cfg.index_bits) > MAX_SUBSET_TABLE_ENTRIES:
+            raise ValueError(
+                f"bits sap_source needs a table of 2^{cfg.index_bits} patterns of {cfg.active} rows, "
+                f"more than {MAX_SUBSET_TABLE_ENTRIES} entries; use the uniform sap_source"
+            )
 
     @cached_property
     def generator_sets(self) -> tuple:
@@ -193,10 +205,11 @@ def _resolve(plan: TrialPlan) -> _Resolved:
     pss, perms = plan.generator_sets
     table = None
     if plan.scheme.sap_source == "bits":
-        words = 1 << cfg.index_bits
-        table = np.array(
-            [subset_unrank(r, cfg.group_size, cfg.active) for r in range(words)], dtype=np.intp
-        )
+        # row r is core.subset_unrank(r, n, k): combinations() runs in lexicographic order
+        words, k = 1 << cfg.index_bits, cfg.active
+        subsets = itertools.islice(itertools.combinations(range(cfg.group_size), k), words)
+        table = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp, count=words * k)
+        table = table.reshape(words, k)
     return _Resolved(
         plan=plan,
         pss_seq=pss.sequences,
@@ -252,8 +265,10 @@ def run_ccdf(plan: TrialPlan, workers: int = 1) -> CcdfCurve:
     """Estimate the PAPR CCDF for a plan; workers never change the counts."""
     res = _resolve(plan)
     n_batches = -(-plan.trials // BATCH_TRIALS)
+    # a worker takes whole batches, so more workers than batches would idle
+    workers = min(workers, n_batches)
     counts = np.zeros(plan.gamma_db.size, dtype=np.int64)
-    if workers <= 1 or n_batches == 1:
+    if workers <= 1:
         for b in range(n_batches):
             counts += _batch_counts(res, b)
     else:

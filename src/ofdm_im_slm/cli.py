@@ -210,6 +210,8 @@ def cmd_ccdf(args) -> int:
     except ValueError as e:
         raise CliError(2, f"invalid plan: {e}")
 
+    if args.workers < 1:
+        raise CliError(2, f"--workers must be >= 1, got {args.workers}")
     try:
         pss, perms = plan.generator_sets
     except ValueError as e:
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--gamma", default="4:13:0.1", help="gamma grid start:stop:step in dB")
     p.add_argument("--oversample", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="worker processes, >= 1 (at most one per batch is started)")
     p.add_argument("--out", required=True, help="output base path; writes <out>.csv and <out>.json")
     p.set_defaults(func=cmd_ccdf)
 

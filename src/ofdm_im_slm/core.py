@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,16 +54,16 @@ class SystemConfig:
     def total_active(self) -> int:
         return self.active * self.num_groups
 
-    @property
+    @cached_property
     def index_bits(self) -> int:
         # floor(log2 C(n, k)) bits selected by the activation pattern
         return math.comb(self.group_size, self.active).bit_length() - 1
 
-    @property
+    @cached_property
     def symbol_bits(self) -> int:
         return self.active * (self.mod_order.bit_length() - 1)
 
-    @property
+    @cached_property
     def bits_per_group(self) -> int:
         return self.index_bits + self.symbol_bits
 
@@ -173,13 +174,40 @@ def subset_rank(rows, n: int) -> int:
 # ---------------------------------------------------------------------------
 # bit mapping and block assembly
 
-def _bits_to_int(bits) -> int:
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
+# bytes 0/1 -> the characters "0"/"1", for int(..., 2)
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits_to_int(bits: list) -> int:
+    """The bits as one integer, MSB first; ValueError unless each bit is 0 or 1.
+
+    Lists of ints pass in one C-level pass; other entries equal to 0 or 1
+    (``1.0``, ``np.True_``) are accepted too, as ``b in (0, 1)`` accepts them.
+    """
+    try:
+        raw = bytes(bits)
+    except (TypeError, ValueError):
+        raw = None
+    # a byte left after deleting every 0 and 1 byte is not a bit
+    if raw is None or raw.translate(None, b"\x00\x01"):
+        if not all(b in (0, 1) for b in bits):
             raise ValueError("bits must be 0/1")
-        value = (value << 1) | int(b)
-    return value
+        raw = bytes(int(b) for b in bits)
+    return int(raw.translate(_BIT_CHARS), 2)
+
+
+@lru_cache(maxsize=1024)
+def _group_sap(rank: int, n: int, k: int) -> GroupSap:
+    """GroupSap of subset rank ``rank``; GroupSap is immutable, so one is shared."""
+    return GroupSap(subset_unrank(rank, n, k))
+
+
+def _decode_group(word: int, cfg: SystemConfig):
+    """(GroupSap, symbol indices) of one group's bits_per_group-bit word."""
+    k, bps = cfg.active, cfg.mod_order.bit_length() - 1
+    mask = (1 << bps) - 1
+    symbols = [(word >> (bps * i)) & mask for i in range(k - 1, -1, -1)]
+    return _group_sap(word >> cfg.symbol_bits, cfg.group_size, k), symbols
 
 
 def map_bits_to_group(bits, cfg: SystemConfig, cs: Constellation):
@@ -194,13 +222,8 @@ def map_bits_to_group(bits, cfg: SystemConfig, cs: Constellation):
         raise ValueError(f"expected {cfg.bits_per_group} bits, got {len(bits)}")
     if cs.order != cfg.mod_order:
         raise ValueError("constellation order does not match cfg.mod_order")
-    p1 = cfg.index_bits
-    bps = cfg.mod_order.bit_length() - 1
-    sap = GroupSap(subset_unrank(_bits_to_int(bits[:p1]), cfg.group_size, cfg.active))
-    symbols = np.array(
-        [cs.symbols[_bits_to_int(bits[p1 + i * bps : p1 + (i + 1) * bps])] for i in range(cfg.active)]
-    )
-    return sap, symbols
+    sap, symbols = _decode_group(_bits_to_int(bits), cfg)
+    return sap, cs.symbols[symbols]
 
 
 def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
@@ -244,13 +267,29 @@ def assemble_block(groups, cfg: SystemConfig):
 
 
 def block_from_bits(bits, cfg: SystemConfig, cs: Constellation):
-    """Map G*bits_per_group bits to a full block: one word per group, in group order."""
+    """Map G*bits_per_group bits to a full block: one word per group, in group order.
+
+    Same block and Sap as ``assemble_block`` over ``map_bits_to_group`` of each
+    word, in one pass: the bits are checked and read once, and each symbol is
+    written straight into the block.
+    """
     bits = list(bits)
-    p = cfg.bits_per_group
-    if len(bits) != p * cfg.num_groups:
-        raise ValueError(f"expected {p * cfg.num_groups} bits, got {len(bits)}")
-    pairs = [map_bits_to_group(bits[g * p : (g + 1) * p], cfg, cs) for g in range(cfg.num_groups)]
-    return assemble_block(pairs, cfg)
+    G, p = cfg.num_groups, cfg.bits_per_group
+    if len(bits) != p * G:
+        raise ValueError(f"expected {p * G} bits, got {len(bits)}")
+    if cs.order != cfg.mod_order:
+        raise ValueError("constellation order does not match cfg.mod_order")
+    word = _bits_to_int(bits)
+    points = cs.symbols.tolist()
+    block = np.zeros(cfg.n_fft, dtype=complex)
+    saps = []
+    for g in range(G):
+        gsap, symbols = _decode_group((word >> (p * (G - 1 - g))) & ((1 << p) - 1), cfg)
+        for r, s in zip(gsap.rows, symbols):
+            block[G * r + g] = points[s]
+        saps.append(gsap)
+    # each memoised GroupSap has k rows below n, so Sap.check would pass
+    return block, Sap(tuple(saps))
 
 
 # ---------------------------------------------------------------------------

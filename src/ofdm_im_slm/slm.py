@@ -314,6 +314,8 @@ def candidate_paprs_db(
     padded = np.zeros((tile, u, width), dtype=complex) if width > n else None
     signal = np.empty((tile, u, width), dtype=complex)
     power = np.empty((tile, u, width))
+    # flat offset of each candidate row in power, for the peak gather below
+    row_starts = np.arange(0, tile * u * width, width).reshape(tile, u)
     peaks = np.empty((rows, u))
     for start in range(0, rows, step):
         t = min(step, rows - start)
@@ -328,7 +330,11 @@ def candidate_paprs_db(
         parts = signal[:t].view(np.float64)
         np.square(parts, out=parts)
         np.add(parts[..., 0::2], parts[..., 1::2], out=power[:t])
-        power[:t].max(axis=-1, out=peaks[start : start + t])
+        # each row's peak as the element argmax picks: the value max(axis=-1)
+        # gives (a NaN too), but over short rows argmax and a gather run faster
+        at = power[:t].argmax(axis=-1)
+        at += row_starts[:t]
+        peaks[start : start + t] = power.reshape(-1)[at]
     return 10.0 * np.log10(peaks * (1.0 / n) / mean_power).reshape(blocks.shape[:-1] + (u,))
 
 

@@ -7,14 +7,17 @@ from ofdm_im_slm import (
     SchemeDescriptor,
     SystemConfig,
     TrialPlan,
+    ccdf,
     compare_curves,
     default_gamma_grid,
     instantiate_scheme,
     papr_at_ccdf,
     run_ccdf,
+    subset_unrank,
 )
 from ofdm_im_slm.ccdf import (
     BATCH_TRIALS,
+    MAX_SUBSET_TABLE_ENTRIES,
     _batch_counts,
     _exceedance_counts,
     _resolve,
@@ -100,6 +103,43 @@ def test_worker_determinism():
     c8 = run_ccdf(plan, workers=8)
     assert np.array_equal(c1.counts, c2.counts)
     assert np.array_equal(c1.counts, c8.counts)
+
+
+class RecordingContext:
+    """Stands in for a multiprocessing context: records each pool size and
+    runs the pool's work in this process, so no process starts."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def Pool(self, processes, initializer, initargs):
+        self.pool_sizes.append(processes)
+        initializer(*initargs)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, func, iterable):
+        return map(func, iterable)
+
+
+def test_pool_never_larger_than_batch_count(monkeypatch):
+    context = RecordingContext()
+    monkeypatch.setattr(ccdf.multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(ccdf, "_WORKER_RESOLVED", None)
+    plan = make_plan(trials=BATCH_TRIALS * 2 + 5)  # 3 batches
+    serial = run_ccdf(plan, workers=1)
+    for workers, size in ((2, 2), (3, 3), (8, 3), (1000, 3)):
+        assert np.array_equal(run_ccdf(plan, workers=workers).counts, serial.counts)
+        assert context.pool_sizes.pop() == size
+    # one batch, or a worker count below 1, runs here without a pool
+    run_ccdf(make_plan(trials=BATCH_TRIALS), workers=8)
+    run_ccdf(plan, workers=0)
+    assert context.pool_sizes == []
 
 
 def test_same_plan_same_counts_different_seed_differs():
@@ -223,6 +263,26 @@ def test_bits_sap_source_runs():
     curve = run_ccdf(make_plan(scheme=scheme, trials=5000, gamma=gamma))
     assert curve.counts[0] == 5000  # sparse blocks always exceed 0 dB
     assert np.all(np.diff(curve.counts) <= 0)
+
+
+@pytest.mark.parametrize("group_size,active", [(16, 8), (32, 3), (4, 1)])
+def test_bits_pattern_table_is_subset_unrank(group_size, active):
+    cfg = SystemConfig(n_fft=64, group_size=group_size, active=active, mod_order=4)
+    scheme = SchemeDescriptor(mode="slm", u=2, sap_source="bits")
+    table = _resolve(make_plan(cfg=cfg, scheme=scheme, trials=10)).subset_table
+    assert table.shape == (1 << cfg.index_bits, active) and table.dtype == np.intp
+    for rank in range(table.shape[0]):
+        assert tuple(table[rank]) == subset_unrank(rank, group_size, active)
+
+
+@pytest.mark.parametrize("n_fft,group_size,active", [(64, 32, 16), (64, 64, 32), (128, 64, 5)])
+def test_bits_plan_rejects_a_pattern_table_beyond_the_cap(n_fft, group_size, active):
+    # checked from index_bits alone, before any table is built
+    cfg = SystemConfig(n_fft=n_fft, group_size=group_size, active=active, mod_order=4)
+    assert active << cfg.index_bits > MAX_SUBSET_TABLE_ENTRIES
+    with pytest.raises(ValueError, match="uniform sap_source"):
+        make_plan(cfg=cfg, scheme=SchemeDescriptor(mode="slm", u=2, sap_source="bits"), trials=10)
+    make_plan(cfg=cfg, scheme=SchemeDescriptor(mode="slm", u=2), trials=10)
 
 
 def test_oversampled_papr_never_below_nyquist():

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdm_im_slm import __version__, ccdf, cli, gen_perm_set, gen_random_pss, SystemConfig
 from ofdm_im_slm.cli import main
@@ -180,6 +186,74 @@ def test_ccdf_nan_pss_file_exit_2(tmp_path, capsys):
 def test_ccdf_bad_gamma_step_exit_2(tmp_path, capsys, spec):
     rc = run_cli(["ccdf", *BASE, "--gamma", spec, "--trials", "10", "--out", str(tmp_path / "x")])
     assert_clean_exit_2(rc, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("group_size,active", [(32, 16), (64, 32)])
+def test_ccdf_bits_source_with_huge_pattern_table_exit_2(tmp_path, capsys, group_size, active):
+    # 2^29 and 2^60 ranked patterns: rejected before any table or batch
+    rc = run_cli(["ccdf", "--n-fft", "64", "--group-size", str(group_size), "--active", str(active),
+                  "--sap-source", "bits", "--trials", "10", "--out", str(tmp_path / "x")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_ccdf_nonpositive_workers_exit_2(tmp_path, capsys, workers):
+    rc = run_cli(["ccdf", *BASE, "--workers", workers, "--trials", "10", "--out", str(tmp_path / "x")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+
+
+# each value is valid in at least three draws of four, so that runs that
+# succeed are common too
+SMALL_INT = st.sampled_from(["1", "2"]) | st.sampled_from(["-1", "0", "1", "2"])
+GAMMA = st.sampled_from(["4:13:0.1", "0:20:1", "5:5:1"]) | st.sampled_from(["13:4:0.1", "4:13:0", "4:inf:0.1", "nan:1:1"])
+
+
+@st.composite
+def ccdf_argvs(draw):
+    """ccdf argument lists with n_fft <= 64, any group split, tiny counts."""
+    n_fft = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    group_size = draw(st.sampled_from([g for g in (2, 4, 8, 16, 32, 64) if g <= n_fft]))
+    argv = ["ccdf", "--n-fft", str(n_fft), "--group-size", str(group_size),
+            "--active", str(draw(st.integers(1, group_size - 1))),
+            "--mod-order", draw(st.sampled_from(["2", "4", "16"])),
+            "--scheme", draw(st.sampled_from(["slm", "original"]))]
+    if argv[-1] == "slm" or draw(st.integers(0, 3)) == 0:  # SLM flags with original: exit 2
+        argv += ["--u", draw(SMALL_INT), "--pss", draw(st.sampled_from(["random", "hadamard"])),
+                 "--perm", draw(st.sampled_from(["identity", "random"]))]
+    return argv + [
+        "--sap-source", draw(st.sampled_from(["uniform", "bits"])),
+        "--trials", draw(SMALL_INT), "--workers", draw(SMALL_INT), "--oversample", draw(SMALL_INT),
+        "--gamma", draw(GAMMA), "--seed", str(draw(st.integers(0, 3))),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=ccdf_argvs(), writable=st.booleans())
+def test_ccdf_any_small_invocation_ends_cleanly(argv, writable):
+    """Exit 0 with a well-formed CSV and plan JSON, or exit 2/3 with one
+    stderr line and nothing left in the output directory."""
+    with tempfile.TemporaryDirectory() as root:
+        outdir = root if writable else os.path.join(root, "missing")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*argv, "--out", os.path.join(outdir, "run")])
+        left = sorted(os.listdir(root))
+        if rc != 0:
+            assert rc in (2, 3)
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert left == []
+            return
+        assert writable and left == ["run.csv", "run.json"]
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        trials = int(opts["--trials"])
+        rows = [line.split(",") for line in open(os.path.join(root, "run.csv")).read().splitlines()]
+        assert rows[0] == ["gamma_db", "ccdf", "count", "trials"] and len(rows) > 1
+        counts = [int(r[2]) for r in rows[1:]]
+        assert all(0 <= c <= trials and r[3] == str(trials) for c, r in zip(counts, rows[1:]))
+        assert counts == sorted(counts, reverse=True)
+        doc = json.load(open(os.path.join(root, "run.json")))
+        assert doc["trials"] == trials and doc["seed"] == int(opts["--seed"])
+        assert len(doc["gamma_db"]) == len(rows) - 1
 
 
 def test_ccdf_gamma_flag(tmp_path):

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ofdm_im_slm import (
+    core,
     Constellation,
     GroupSap,
     Sap,
@@ -172,6 +174,96 @@ def test_block_from_bits_roundtrip_positions():
     # every group at subset {0,1}: active indices are G*r+g for r in {0,1}
     assert sap.active == tuple(sorted(CFG.num_groups * r + g for g in range(4) for r in (0, 1)))
     assert np.count_nonzero(block) == CFG.total_active
+
+
+def encoder_oracle(bits, cfg, cs, subsets):
+    """Brute force: the index word picks the rank-th of ``subsets`` (the
+    k-subsets in the order of itertools.combinations), each symbol word (MSB
+    first) one point, and group g fills subcarriers G*r + g."""
+    G, p = cfg.num_groups, cfg.bits_per_group
+    bps = cfg.mod_order.bit_length() - 1
+    block = np.zeros(cfg.n_fft, dtype=complex)
+    groups = []
+    for g in range(G):
+        word = "".join(str(b) for b in bits[g * p : (g + 1) * p])
+        rows = subsets[int(word[: cfg.index_bits], 2)]
+        for i, r in enumerate(rows):
+            start = cfg.index_bits + i * bps
+            block[G * r + g] = cs.symbols[int(word[start : start + bps], 2)]
+        groups.append(GroupSap(rows))
+    return block, Sap(tuple(groups))
+
+
+@pytest.mark.parametrize("mod_order", [2, 4, 16])
+@pytest.mark.parametrize("n_fft,group_size,active", [(16, 4, 1), (16, 4, 2), (16, 4, 3),
+                                                      (64, 16, 2), (64, 16, 8), (64, 16, 14)])
+def test_block_from_bits_matches_brute_force_oracle(n_fft, group_size, active, mod_order):
+    cfg = SystemConfig(n_fft=n_fft, group_size=group_size, active=active, mod_order=mod_order)
+    cs = Constellation.psk(mod_order)
+    p = cfg.bits_per_group
+    subsets = list(itertools.combinations(range(group_size), active))
+    words = np.random.default_rng(n_fft + 17 * active + mod_order).integers(0, 2, (300, p * cfg.num_groups))
+    for bits in words.tolist():
+        block, sap = block_from_bits(bits, cfg, cs)
+        want_block, want_sap = encoder_oracle(bits, cfg, cs, subsets)
+        assert block.dtype == want_block.dtype and np.array_equal(block, want_block)
+        assert sap == want_sap
+        # the one-pass encoder is the per-group mapper plus assembly, to the byte
+        pairs = [map_bits_to_group(bits[g * p : (g + 1) * p], cfg, cs) for g in range(cfg.num_groups)]
+        two_step_block, two_step_sap = assemble_block(pairs, cfg)
+        assert block.tobytes() == two_step_block.tobytes() and sap == two_step_sap
+
+
+def test_block_from_bits_accepts_any_bit_equal_to_0_or_1():
+    # the fast path reads ints as bytes; other values equal to 0 or 1 still count
+    cs = Constellation.psk(4)
+    bits = np.random.default_rng(5).integers(0, 2, CFG.bits_per_group * CFG.num_groups).tolist()
+    want_block, want_sap = block_from_bits(bits, CFG, cs)
+    for as_type in (bool, float, np.int64, np.float64, np.bool_):
+        block, sap = block_from_bits([as_type(b) for b in bits], CFG, cs)
+        assert block.tobytes() == want_block.tobytes() and sap == want_sap
+    block, sap = block_from_bits(np.array(bits, dtype=np.uint8), CFG, cs)
+    assert block.tobytes() == want_block.tobytes() and sap == want_sap
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, "1", 256, None, float("nan")])
+@pytest.mark.parametrize("at", [0, 7, 39])
+def test_bit_mapping_rejects_non_bits(bad, at):
+    cs = Constellation.psk(4)
+    bits = [0] * (CFG.bits_per_group * CFG.num_groups)
+    bits[at] = bad
+    with pytest.raises(ValueError, match="bits must be 0/1"):
+        block_from_bits(bits, CFG, cs)
+    with pytest.raises(ValueError, match="bits must be 0/1"):
+        map_bits_to_group(bits[at // 10 * 10 : at // 10 * 10 + 10], CFG, cs)
+
+
+def test_bit_mapping_length_and_constellation_errors():
+    cs = Constellation.psk(4)
+    width = CFG.bits_per_group * CFG.num_groups
+    for n_bits in (0, width - 1, width + 1):
+        with pytest.raises(ValueError, match="expected 40 bits"):
+            block_from_bits([0] * n_bits, CFG, cs)
+    for order in (2, 16):
+        with pytest.raises(ValueError, match="constellation order"):
+            block_from_bits([0] * width, CFG, Constellation.psk(order))
+        with pytest.raises(ValueError, match="constellation order"):
+            map_bits_to_group([0] * CFG.bits_per_group, CFG, Constellation.psk(order))
+    # the constellation is checked before the bits, as when each group was mapped in turn
+    with pytest.raises(ValueError, match="constellation order"):
+        block_from_bits([2] * width, CFG, Constellation.psk(2))
+
+
+def test_group_pattern_memo_stays_bounded():
+    cfg = SystemConfig(n_fft=16, group_size=16, active=8, mod_order=2)  # 2^13 index words
+    size = core._group_sap.cache_info().maxsize
+    core._group_sap.cache_clear()
+    cs = Constellation.psk(2)
+    for rank in range(size + 100):
+        index_bits = [int(c) for c in format(rank, f"0{cfg.index_bits}b")]
+        _, sap = block_from_bits(index_bits + [1] * cfg.symbol_bits, cfg, cs)
+        assert sap.groups[0].rows == subset_unrank(rank, 16, 8)
+    assert core._group_sap.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------

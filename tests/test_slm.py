@@ -19,6 +19,7 @@ from ofdm_im_slm import (
     gen_random_pss,
     idft,
     mls_plus_minus,
+    oversampled_idft,
     papr_db,
     perm_set_from_json,
     perm_set_to_json,
@@ -316,6 +317,22 @@ def test_candidate_paprs_batch_matches_single_blocks():
     assert np.array_equal(real, candidate_paprs_db(blocks.real + 0j, pss.sequences, perm_inv, CFG.mean_power))
     with pytest.raises(ValueError, match="oversampling"):
         candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=0)
+
+
+@pytest.mark.parametrize("oversample", [1, 4])
+def test_candidate_paprs_are_the_row_maxima_of_oversampled_idft(oversample):
+    # at N=64 and L in {1, 4} every scale factor is a power of two, so each
+    # PAPR is exactly that of the largest |x|^2; a NaN block stays NaN
+    rng = np.random.default_rng(18)
+    pss = gen_random_pss(CFG, 4, rng, alphabet="continuous")
+    perm_inv = gen_perm_set(CFG, 4, "random", rng).inverse
+    blocks = np.array([random_block(CFG, seed=400 + s)[0] for s in range(200)])
+    blocks[7, 3] = np.nan
+    got = candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample)
+    x = oversampled_idft(blocks[:, perm_inv] * pss.sequences, oversample)
+    want = 10.0 * np.log10(np.max(x.real**2 + x.imag**2, axis=-1) / CFG.mean_power)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.all(np.isnan(got[7])) and not np.any(np.isnan(np.delete(got, 7, axis=0)))
 
 
 @pytest.mark.parametrize("oversample", [1, 4])
