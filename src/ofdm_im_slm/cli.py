@@ -78,15 +78,23 @@ def _build_cfg(args) -> SystemConfig:
         raise CliError(2, f"invalid configuration: {e}")
 
 
+# Longest gamma grid, in points: a 0.001 dB step over 100 dB. Every point is
+# one CSV row and one count, so a spec such as 0:1e12:1 is refused from its
+# point count, before the grid is built.
+MAX_GAMMA_POINTS = 100_000
+
+
 def _parse_gamma(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
         if not step > 0:
             raise ValueError("step must be positive")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return np.round(start + step * np.arange(count), 9)
     except (ValueError, OverflowError):
         raise CliError(2, f"bad gamma spec {spec!r}, expected start:stop:step with step > 0")
+    if count > MAX_GAMMA_POINTS:
+        raise CliError(2, f"gamma spec {spec!r} gives {count} points, more than {MAX_GAMMA_POINTS}")
+    return np.round(start + step * np.arange(count), 9)
 
 
 def _read_json(path: str) -> dict:

@@ -241,9 +241,13 @@ def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generat
 
 
 def sample_random_sap(cfg: SystemConfig, rng: np.random.Generator) -> Sap:
-    """One uniform activation pattern (the analysis assumption), as a Sap."""
-    rows = draw_active_positions(cfg, 1, rng).reshape(cfg.num_groups, cfg.active) // cfg.num_groups
-    return Sap(tuple(GroupSap(tuple(r)) for r in rows.tolist()))
+    """One uniform activation pattern (the analysis assumption), as a Sap.
+
+    Group by group, the sorted first k entries of one shuffle of 0..n-1: the
+    same draws as one trial of ``draw_active_positions``.
+    """
+    rows = np.arange(cfg.group_size)
+    return Sap(tuple(GroupSap(sorted(rng.permuted(rows)[: cfg.active].tolist())) for _ in range(cfg.num_groups)))
 
 
 def assemble_block(groups, cfg: SystemConfig):

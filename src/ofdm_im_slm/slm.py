@@ -12,12 +12,13 @@ is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import GroupSap, Sap, SystemConfig, idft
+from .core import GroupSap, Sap, SystemConfig
 
 # Feedback polynomials x^m + ... + 1 known to generate maximal-length
 # sequences, given as exponent tuples. Each entry is re-verified at
@@ -286,6 +287,26 @@ class SlmResult:
 _TILE_OUTPUTS = 1 << 15
 
 
+def _candidate_signals(blocks, pss_seq, perm_inv, padded=None, out=None):
+    """Unnormalised IDFT of every SLM candidate: (..., N) blocks -> (..., U, width).
+
+    Candidate u gathers the block by perm_inv[u] and multiplies by phase row
+    u. With a zeroed ``padded`` buffer of the output shape, the spectrum is
+    copied into its low band and, from index N/2 on as negative
+    frequencies, its high band first. One FFT transforms all candidates,
+    without the 1/width factor, into ``out`` if given.
+    """
+    spectrum = np.take(blocks, perm_inv, axis=-1)
+    spectrum *= pss_seq
+    if padded is not None:
+        n, width = spectrum.shape[-1], padded.shape[-1]
+        half = n // 2
+        padded[..., :half] = spectrum[..., :half]
+        padded[..., width - (n - half) :] = spectrum[..., half:]
+        spectrum = padded
+    return np.fft.ifft(spectrum, axis=-1, norm="forward", out=out)
+
+
 def candidate_paprs_db(
     blocks: np.ndarray, pss_seq: np.ndarray, perm_inv: np.ndarray, mean_power: float, oversample: int = 1
 ) -> np.ndarray:
@@ -294,9 +315,10 @@ def candidate_paprs_db(
     Candidate u gathers the block by the inverse of permutation u (entry i
     lands at d_u[i]), multiplies by phase row u and applies the IDFT,
     zero-padded by ``oversample`` with indices at or above N/2 as negative
-    frequencies (the layout of ``core.oversampled_idft``). All candidates of
-    a tile of blocks go through one batched FFT without normalisation, and
-    only their peak powers are kept; the unitary factor 1/N scales those
+    frequencies (the layout of ``core.oversampled_idft``). Each tile of
+    blocks goes through the candidate stage that ``slm_select`` shares: one
+    gather, one phase multiply and one batched FFT without normalisation.
+    Only the peak powers are kept; the unitary factor 1/N scales those
     peaks alone. The padded spectrum, signal and power buffers are allocated
     once per call and reused by every tile, so the zero band is written once.
     When N is a power of 4 and ``oversample`` a power of 2 every scale factor
@@ -308,7 +330,7 @@ def candidate_paprs_db(
     blocks = np.asarray(blocks, dtype=complex)
     n, u = blocks.shape[-1], pss_seq.shape[0]
     flat = blocks.reshape(-1, n)
-    rows, width, half = flat.shape[0], n * int(oversample), n // 2
+    rows, width = flat.shape[0], n * int(oversample)
     step = max(1, _TILE_OUTPUTS // (u * width))
     tile = min(rows, step)
     padded = np.zeros((tile, u, width), dtype=complex) if width > n else None
@@ -319,13 +341,9 @@ def candidate_paprs_db(
     peaks = np.empty((rows, u))
     for start in range(0, rows, step):
         t = min(step, rows - start)
-        spectrum = np.take(flat[start : start + t], perm_inv, axis=1)
-        spectrum *= pss_seq
-        if padded is not None:
-            padded[:t, :, :half] = spectrum[..., :half]
-            padded[:t, :, width - (n - half) :] = spectrum[..., half:]
-            spectrum = padded[:t]
-        np.fft.ifft(spectrum, axis=-1, norm="forward", out=signal[:t])
+        _candidate_signals(
+            flat[start : start + t], pss_seq, perm_inv, None if padded is None else padded[:t], signal[:t]
+        )
         # |x|^2 as re^2 + im^2: square the float view in place, add into power
         parts = signal[:t].view(np.float64)
         np.square(parts, out=parts)
@@ -343,15 +361,21 @@ def slm_select(
 ) -> SlmResult:
     """Permute, phase-rotate, transform each branch; keep the minimum-PAPR signal.
 
-    Ties go to the lowest branch index.
+    The U candidates go through the candidate stage of ``candidate_paprs_db``
+    once, and ``papr_db`` is computed from them with the same operations, so
+    it equals that function's result on this block. The winner's signal is
+    taken from the same transform, scaled by 1/N and then sqrt(N), which
+    gives the bytes of ``core.idft`` of the winning spectrum. Ties go to the
+    lowest branch index.
     """
     if pss.u != perms.u:
         raise ValueError(f"pss has {pss.u} sequences but perms has {perms.u}")
-    block = np.asarray(block)
-    paprs = candidate_paprs_db(block, pss.sequences, perms.inverse, cfg.mean_power)
+    signals = _candidate_signals(np.asarray(block, dtype=complex), pss.sequences, perms.inverse)
+    n = signals.shape[-1]
+    power = np.square(signals.real) + np.square(signals.imag)
+    paprs = 10.0 * np.log10(power.max(axis=-1) * (1.0 / n) / cfg.mean_power)
     best = int(np.argmin(paprs))
-    signal = idft(block[perms.inverse[best]] * pss.sequences[best])
-    return SlmResult(selected_index=best, signal=signal, papr_db=paprs)
+    return SlmResult(selected_index=best, signal=signals[best] * (1.0 / n) * math.sqrt(n), papr_db=paprs)
 
 
 # ---------------------------------------------------------------------------

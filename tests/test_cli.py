@@ -188,6 +188,15 @@ def test_ccdf_bad_gamma_step_exit_2(tmp_path, capsys, spec):
     assert_clean_exit_2(rc, capsys, tmp_path)
 
 
+@pytest.mark.parametrize("spec", ["0:1e12:1", f"0:{cli.MAX_GAMMA_POINTS}:1"])
+def test_ccdf_gamma_grid_beyond_the_cap_exit_2(tmp_path, capsys, spec):
+    # 10^12 points would need 7.28 TiB; the point count is checked before
+    # any grid is built, so no memory cap is needed here
+    rc = run_cli(["ccdf", *BASE, "--gamma", spec, "--trials", "10", "--out", str(tmp_path / "x")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+    assert cli._parse_gamma(f"0:{cli.MAX_GAMMA_POINTS - 1}:1").size == cli.MAX_GAMMA_POINTS
+
+
 @pytest.mark.parametrize("group_size,active", [(32, 16), (64, 32)])
 def test_ccdf_bits_source_with_huge_pattern_table_exit_2(tmp_path, capsys, group_size, active):
     # 2^29 and 2^60 ranked patterns: rejected before any table or batch

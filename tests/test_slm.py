@@ -299,6 +299,40 @@ def test_slm_never_worse_than_first_branch():
         assert result.papr_db.min() <= baseline + 1e-12
 
 
+@pytest.mark.parametrize("n_fft", [16, 32, 64, 128])
+@pytest.mark.parametrize("u", [1, 4])
+@pytest.mark.parametrize("alphabet", ["quaternary", "continuous"])
+def test_slm_select_bytes_match_idft_and_candidate_paprs(n_fft, u, alphabet):
+    # the kept signal is the winner's unitary IDFT to the last bit, and the
+    # PAPRs are the batch kernel's on the same block
+    cfg = SystemConfig(n_fft=n_fft, group_size=16, active=2, mod_order=4)
+    rng = np.random.default_rng(n_fft + u)
+    pss = gen_random_pss(cfg, u, rng, alphabet=alphabet)
+    perms = gen_perm_set(cfg, u, "random", rng)
+    for seed in range(200):
+        block, _ = random_block(cfg, seed=500 + seed)
+        result = slm_select(block, pss, perms, cfg)
+        best = result.selected_index
+        assert np.array_equal(result.signal, idft(block[perms.inverse[best]] * pss.sequences[best]))
+        assert np.array_equal(result.papr_db, candidate_paprs_db(block, pss.sequences, perms.inverse, cfg.mean_power))
+
+
+def test_slm_select_runs_one_transform(monkeypatch):
+    # all U candidates in one FFT, and no second transform for the kept signal
+    shapes = []
+    ifft = np.fft.ifft
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    rng = np.random.default_rng(19)
+    block, _ = random_block(CFG, seed=19)
+    slm_select(block, gen_random_pss(CFG, 4, rng), gen_perm_set(CFG, 4, "random", rng), CFG)
+    assert shapes == [(4, 64)]
+
+
 def test_candidate_paprs_batch_matches_single_blocks():
     rng = np.random.default_rng(16)
     pss = gen_random_pss(CFG, 4, rng)
