@@ -52,6 +52,12 @@ BATCH_TRIALS = 4096
 # C(n, k); n=32, k=16 would need 2^29 patterns.
 MAX_SUBSET_TABLE_ENTRIES = 1 << 22
 
+# Largest array a plan may need, in complex values: 512 MiB at 16 bytes each.
+# That is the larger of a batch of blocks (min(trials, BATCH_TRIALS) x N) and
+# one kernel tile row (U x N*L); the phase sequences (U x N) are never larger
+# than a tile row. A run needs a few arrays of this size at once.
+MAX_PLAN_ELEMENTS = 1 << 25
+
 PSS_KINDS = ("random", "cyclic-hadamard", "pinned", "all-ones")
 PERM_KINDS = ("identity", "random", "pinned")
 SAP_SOURCES = ("uniform", "bits")
@@ -119,6 +125,12 @@ class TrialPlan:
         if self.oversample < 1 or int(self.oversample) != self.oversample:
             raise ValueError("oversample must be a positive integer")
         cfg = self.cfg
+        largest = max(min(self.trials, BATCH_TRIALS), self.scheme.u * int(self.oversample)) * cfg.n_fft
+        if largest > MAX_PLAN_ELEMENTS:
+            raise ValueError(
+                f"the plan needs an array of {largest} complex values (a batch of blocks or a "
+                f"kernel tile row), more than {MAX_PLAN_ELEMENTS}"
+            )
         if self.scheme.sap_source == "bits" and (cfg.active << cfg.index_bits) > MAX_SUBSET_TABLE_ENTRIES:
             raise ValueError(
                 f"bits sap_source needs a table of 2^{cfg.index_bits} patterns of {cfg.active} rows, "

@@ -14,7 +14,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -67,6 +67,26 @@ class SystemConfig:
     def bits_per_group(self) -> int:
         return self.index_bits + self.symbol_bits
 
+    @cached_property
+    def _word_fields(self) -> tuple:
+        """(rank mask, symbol mask, rank shifts, symbol shifts) that read a
+        block's bits as one integer, MSB first.
+
+        Group g's word is bits_per_group bits, g = 0 in the top bits: its
+        pattern rank, then k symbol indices in row order. One rank shift per
+        group and k symbol shifts per group, in group order. The last group's
+        word is the lowest, so the last entries read a single group's word.
+        """
+        G, p, k = self.num_groups, self.bits_per_group, self.active
+        bps = self.mod_order.bit_length() - 1
+        low = [p * (G - 1 - g) for g in range(G)]
+        return (
+            (1 << self.index_bits) - 1,
+            self.mod_order - 1,
+            tuple(b + self.symbol_bits for b in low),
+            tuple(b + bps * i for b in low for i in range(k - 1, -1, -1)),
+        )
+
     @property
     def mean_power(self) -> float:
         # ensemble mean of |x(m)|^2 for a unit-power constellation
@@ -116,15 +136,23 @@ class Sap:
     """Block-level activation pattern: per-group subsets plus the flat index set."""
 
     groups: tuple
-    active: tuple = field(init=False)
 
     def __post_init__(self):
-        G = len(self.groups)
-        flat = sorted(G * r + g for g, gs in enumerate(self.groups) for r in gs.rows)
-        if len(set(flat)) != len(flat):
-            raise ValueError("duplicate active indices")
         object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "active", tuple(flat))
+
+    @cached_property
+    def active(self) -> tuple:
+        """Sorted flat indices G*r + g of the active rows, built on first read.
+
+        No index can repeat: each GroupSap's rows are distinct, and G*r + g is
+        one-to-one for 0 <= g < G.
+        """
+        G = len(self.groups)
+        return tuple(sorted(G * r + g for g, gs in enumerate(self.groups) for r in gs.rows))
+
+    def __hash__(self):
+        # the hash of the (groups, active) pair, as when active was a field
+        return hash((self.groups, self.active))
 
     def check(self, cfg: SystemConfig) -> "Sap":
         if len(self.groups) != cfg.num_groups:
@@ -202,12 +230,16 @@ def _group_sap(rank: int, n: int, k: int) -> GroupSap:
     return GroupSap(subset_unrank(rank, n, k))
 
 
-def _decode_group(word: int, cfg: SystemConfig):
-    """(GroupSap, symbol indices) of one group's bits_per_group-bit word."""
-    k, bps = cfg.active, cfg.mod_order.bit_length() - 1
-    mask = (1 << bps) - 1
-    symbols = [(word >> (bps * i)) & mask for i in range(k - 1, -1, -1)]
-    return _group_sap(word >> cfg.symbol_bits, cfg.group_size, k), symbols
+def _decode_words(word: int, cfg: SystemConfig, groups: int):
+    """GroupSaps and symbol indices of the last ``groups`` group words in ``word``.
+
+    The symbol indices come as one list, k per group in group order and, within
+    a group, in row order. groups == cfg.num_groups decodes a whole block.
+    """
+    rank_mask, symbol_mask, rank_at, symbol_at = cfg._word_fields
+    n, k = cfg.group_size, cfg.active
+    gsaps = [_group_sap((word >> at) & rank_mask, n, k) for at in rank_at[-groups:]]
+    return gsaps, [(word >> at) & symbol_mask for at in symbol_at[-groups * k :]]
 
 
 def map_bits_to_group(bits, cfg: SystemConfig, cs: Constellation):
@@ -222,8 +254,8 @@ def map_bits_to_group(bits, cfg: SystemConfig, cs: Constellation):
         raise ValueError(f"expected {cfg.bits_per_group} bits, got {len(bits)}")
     if cs.order != cfg.mod_order:
         raise ValueError("constellation order does not match cfg.mod_order")
-    sap, symbols = _decode_group(_bits_to_int(bits), cfg)
-    return sap, cs.symbols[symbols]
+    gsaps, symbols = _decode_words(_bits_to_int(bits), cfg, 1)
+    return gsaps[0], cs.symbols[symbols]
 
 
 def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
@@ -283,17 +315,15 @@ def block_from_bits(bits, cfg: SystemConfig, cs: Constellation):
         raise ValueError(f"expected {p * G} bits, got {len(bits)}")
     if cs.order != cfg.mod_order:
         raise ValueError("constellation order does not match cfg.mod_order")
-    word = _bits_to_int(bits)
+    gsaps, symbols = _decode_words(_bits_to_int(bits), cfg, G)
     points = cs.symbols.tolist()
     block = np.zeros(cfg.n_fft, dtype=complex)
-    saps = []
-    for g in range(G):
-        gsap, symbols = _decode_group((word >> (p * (G - 1 - g))) & ((1 << p) - 1), cfg)
-        for r, s in zip(gsap.rows, symbols):
-            block[G * r + g] = points[s]
-        saps.append(gsap)
+    symbols = iter(symbols)
+    for g, gsap in enumerate(gsaps):
+        for r in gsap.rows:
+            block[G * r + g] = points[next(symbols)]
     # each memoised GroupSap has k rows below n, so Sap.check would pass
-    return block, Sap(tuple(saps))
+    return block, Sap(tuple(gsaps))
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,8 @@ def _candidate_signals(blocks, pss_seq, perm_inv, padded=None, out=None):
     u. With a zeroed ``padded`` buffer of the output shape, the spectrum is
     copied into its low band and, from index N/2 on as negative
     frequencies, its high band first. One FFT transforms all candidates,
-    without the 1/width factor, into ``out`` if given.
+    without the 1/width factor, into ``out``, or else in place over the
+    spectrum it transforms (``padded``, if given).
     """
     spectrum = np.take(blocks, perm_inv, axis=-1)
     spectrum *= pss_seq
@@ -304,7 +305,7 @@ def _candidate_signals(blocks, pss_seq, perm_inv, padded=None, out=None):
         padded[..., :half] = spectrum[..., :half]
         padded[..., width - (n - half) :] = spectrum[..., half:]
         spectrum = padded
-    return np.fft.ifft(spectrum, axis=-1, norm="forward", out=out)
+    return np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum if out is None else out)
 
 
 def candidate_paprs_db(
@@ -372,9 +373,10 @@ def slm_select(
         raise ValueError(f"pss has {pss.u} sequences but perms has {perms.u}")
     signals = _candidate_signals(np.asarray(block, dtype=complex), pss.sequences, perms.inverse)
     n = signals.shape[-1]
-    power = np.square(signals.real) + np.square(signals.imag)
+    power = np.square(signals.real)
+    power += np.square(signals.imag)
     paprs = 10.0 * np.log10(power.max(axis=-1) * (1.0 / n) / cfg.mean_power)
-    best = int(np.argmin(paprs))
+    best = int(paprs.argmin())
     return SlmResult(selected_index=best, signal=signals[best] * (1.0 / n) * math.sqrt(n), papr_db=paprs)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from ofdm_im_slm import (
 )
 from ofdm_im_slm.ccdf import (
     BATCH_TRIALS,
+    MAX_PLAN_ELEMENTS,
     MAX_SUBSET_TABLE_ENTRIES,
     _batch_counts,
     _exceedance_counts,
@@ -283,6 +286,39 @@ def test_bits_plan_rejects_a_pattern_table_beyond_the_cap(n_fft, group_size, act
     with pytest.raises(ValueError, match="uniform sap_source"):
         make_plan(cfg=cfg, scheme=SchemeDescriptor(mode="slm", u=2, sap_source="bits"), trials=10)
     make_plan(cfg=cfg, scheme=SchemeDescriptor(mode="slm", u=2), trials=10)
+
+
+@pytest.mark.parametrize(
+    "at_cap,above",
+    [
+        # phase sequences and one kernel tile row, U x N
+        (dict(n_fft=64, u=MAX_PLAN_ELEMENTS // 64), dict(n_fft=64, u=MAX_PLAN_ELEMENTS // 64 + 1)),
+        # one oversampled tile row, U x N*L
+        (dict(n_fft=64, u=4, oversample=MAX_PLAN_ELEMENTS // 256), dict(n_fft=64, u=4, oversample=MAX_PLAN_ELEMENTS // 256 + 1)),
+        # a batch of blocks, min(trials, BATCH_TRIALS) x N
+        (dict(n_fft=2 * MAX_PLAN_ELEMENTS // BATCH_TRIALS, trials=BATCH_TRIALS // 2),
+         dict(n_fft=2 * MAX_PLAN_ELEMENTS // BATCH_TRIALS, trials=BATCH_TRIALS // 2 + 1)),
+        (dict(n_fft=MAX_PLAN_ELEMENTS // BATCH_TRIALS, trials=10**9),
+         dict(n_fft=2 * MAX_PLAN_ELEMENTS // BATCH_TRIALS, trials=10**9)),
+        # one block, N
+        (dict(n_fft=MAX_PLAN_ELEMENTS), dict(n_fft=2 * MAX_PLAN_ELEMENTS)),
+    ],
+)
+def test_plan_refuses_an_array_beyond_the_cap(at_cap, above):
+    # the largest array is worked out from the arguments, so neither plan allocates
+    def plan(n_fft, u=1, oversample=1, trials=1):
+        cfg = SystemConfig(n_fft=n_fft, group_size=16, active=2, mod_order=4)
+        return make_plan(cfg=cfg, scheme=SchemeDescriptor(mode="slm", u=u), trials=trials, oversample=oversample)
+
+    tracemalloc.start()
+    try:
+        plan(**at_cap)
+        with pytest.raises(ValueError, match=f"more than {MAX_PLAN_ELEMENTS}"):
+            plan(**above)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_oversampled_papr_never_below_nyquist():

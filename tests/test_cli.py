@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import os
+import resource
 import tempfile
+import traceback
 
 import numpy as np
 import pytest
@@ -20,6 +22,43 @@ BASE = ["--n-fft", "64", "--group-size", "16", "--active", "2", "--mod-order", "
 
 def run_cli(args):
     return main(args)
+
+
+def run_cli_capped(args, headroom=1 << 30):
+    """(exit code, stderr) of ``main(args)`` in a forked child whose address
+    space may grow by ``headroom`` bytes at most.
+
+    An argument list that should be refused before it allocates runs here, so
+    that a run that allocates after all fails in the child with a MemoryError
+    instead of taking the host's memory.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: never returns into pytest
+        code, err = 1, io.StringIO()
+        try:
+            os.close(read_end)
+            with open("/proc/self/statm") as f:
+                size = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            limit = size + headroom if hard == resource.RLIM_INFINITY else min(hard, size + headroom)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(args)
+        except Exception:
+            err.write(traceback.format_exc())
+        finally:
+            os.write(write_end, err.getvalue().encode())
+            os._exit(code)
+    os.close(write_end)
+    with os.fdopen(read_end) as f:
+        err = f.read()
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status), err
+
+
+CAN_CAP = hasattr(os, "fork") and os.path.exists("/proc/self/statm")
+needs_fork_and_statm = pytest.mark.skipif(not CAN_CAP, reason="needs fork and /proc/self/statm")
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +236,18 @@ def test_ccdf_gamma_grid_beyond_the_cap_exit_2(tmp_path, capsys, spec):
     assert cli._parse_gamma(f"0:{cli.MAX_GAMMA_POINTS - 1}:1").size == cli.MAX_GAMMA_POINTS
 
 
+@needs_fork_and_statm
+@pytest.mark.parametrize("flags", [["--u", "100000000"], ["--n-fft", "1073741824"], ["--oversample", "100000000"]])
+def test_ccdf_plan_beyond_the_array_cap_exit_2(tmp_path, flags):
+    # tens to hundreds of GiB for the phase sequences, a block or a kernel tile
+    # row: each is refused from the plan's arguments, before anything is allocated
+    rc, err = run_cli_capped(["ccdf", *flags, "--trials", "1", "--out", str(tmp_path / "x")])
+    assert rc == 2, err
+    assert err.startswith("error: invalid plan: ") and err.count("\n") == 1
+    assert f"more than {ccdf.MAX_PLAN_ELEMENTS}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("group_size,active", [(32, 16), (64, 32)])
 def test_ccdf_bits_source_with_huge_pattern_table_exit_2(tmp_path, capsys, group_size, active):
     # 2^29 and 2^60 ranked patterns: rejected before any table or batch
@@ -217,39 +268,73 @@ SMALL_INT = st.sampled_from(["1", "2"]) | st.sampled_from(["-1", "0", "1", "2"])
 GAMMA = st.sampled_from(["4:13:0.1", "0:20:1", "5:5:1"]) | st.sampled_from(["13:4:0.1", "4:13:0", "4:inf:0.1", "nan:1:1"])
 
 
+def just_above_the_cap(opts: dict, which: str) -> dict:
+    """``opts`` with --u, --oversample or --n-fft raised to the least value
+    that takes the plan's largest array over ccdf.MAX_PLAN_ELEMENTS."""
+    n_fft, trials = int(opts["--n-fft"]), max(1, int(opts["--trials"]))
+    u, oversample = max(1, int(opts.get("--u", "1"))), max(1, int(opts["--oversample"]))
+    cap, batch = ccdf.MAX_PLAN_ELEMENTS, min(trials, ccdf.BATCH_TRIALS)
+    if which == "--u":
+        opts["--u"] = str(cap // (n_fft * oversample) + 1)
+    elif which == "--oversample":
+        opts["--oversample"] = str(cap // (u * n_fft) + 1)
+    else:
+        while max(batch, u * oversample) * n_fft <= cap:
+            n_fft *= 2
+        opts["--n-fft"] = str(n_fft)
+    return opts
+
+
 @st.composite
 def ccdf_argvs(draw):
-    """ccdf argument lists with n_fft <= 64, any group split, tiny counts."""
+    """ccdf argument lists with n_fft <= 64, any group split, tiny counts.
+
+    One in four instead has --u, --oversample or --n-fft just above the
+    plan's array cap: such a run must exit 2 before it allocates.
+    """
     n_fft = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
     group_size = draw(st.sampled_from([g for g in (2, 4, 8, 16, 32, 64) if g <= n_fft]))
-    argv = ["ccdf", "--n-fft", str(n_fft), "--group-size", str(group_size),
-            "--active", str(draw(st.integers(1, group_size - 1))),
-            "--mod-order", draw(st.sampled_from(["2", "4", "16"])),
-            "--scheme", draw(st.sampled_from(["slm", "original"]))]
-    if argv[-1] == "slm" or draw(st.integers(0, 3)) == 0:  # SLM flags with original: exit 2
-        argv += ["--u", draw(SMALL_INT), "--pss", draw(st.sampled_from(["random", "hadamard"])),
-                 "--perm", draw(st.sampled_from(["identity", "random"]))]
-    return argv + [
-        "--sap-source", draw(st.sampled_from(["uniform", "bits"])),
-        "--trials", draw(SMALL_INT), "--workers", draw(SMALL_INT), "--oversample", draw(SMALL_INT),
-        "--gamma", draw(GAMMA), "--seed", str(draw(st.integers(0, 3))),
-    ]
+    opts = {"--n-fft": str(n_fft), "--group-size": str(group_size),
+            "--active": str(draw(st.integers(1, group_size - 1))),
+            "--mod-order": draw(st.sampled_from(["2", "4", "16"])),
+            "--scheme": draw(st.sampled_from(["slm", "original"]))}
+    if opts["--scheme"] == "slm" or draw(st.integers(0, 3)) == 0:  # SLM flags with original: exit 2
+        opts.update({"--u": draw(SMALL_INT), "--pss": draw(st.sampled_from(["random", "hadamard"])),
+                     "--perm": draw(st.sampled_from(["identity", "random"]))})
+    opts.update({
+        "--sap-source": draw(st.sampled_from(["uniform", "bits"])),
+        "--trials": draw(SMALL_INT), "--workers": draw(SMALL_INT), "--oversample": draw(SMALL_INT),
+        "--gamma": draw(GAMMA), "--seed": str(draw(st.integers(0, 3))),
+    })
+    oversized = draw(st.sampled_from(["--u", "--oversample", "--n-fft"])) if draw(st.integers(0, 3)) == 0 else None
+    if oversized:
+        opts = just_above_the_cap(opts, oversized)
+    return ["ccdf", *(x for item in opts.items() for x in item)], oversized is not None
 
 
 @settings(max_examples=200, deadline=None)
-@given(argv=ccdf_argvs(), writable=st.booleans())
-def test_ccdf_any_small_invocation_ends_cleanly(argv, writable):
+@given(case=ccdf_argvs(), writable=st.booleans())
+def test_ccdf_any_small_invocation_ends_cleanly(case, writable):
     """Exit 0 with a well-formed CSV and plan JSON, or exit 2/3 with one
     stderr line and nothing left in the output directory."""
+    argv, oversized = case
     with tempfile.TemporaryDirectory() as root:
         outdir = root if writable else os.path.join(root, "missing")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main([*argv, "--out", os.path.join(outdir, "run")])
+        argv = [*argv, "--out", os.path.join(outdir, "run")]
+        if oversized:
+            if not CAN_CAP:
+                return
+            rc, err = run_cli_capped(argv)
+            assert rc == 2, err
+        else:
+            buf = io.StringIO()
+            with contextlib.redirect_stderr(buf), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(argv)
+            err = buf.getvalue()
         left = sorted(os.listdir(root))
         if rc != 0:
             assert rc in (2, 3)
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
             assert left == []
             return
         assert writable and left == ["run.csv", "run.json"]

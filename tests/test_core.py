@@ -1,10 +1,13 @@
 import itertools
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from ofdm_im_slm import (
+    cli,
     core,
     Constellation,
     GroupSap,
@@ -264,6 +267,60 @@ def test_group_pattern_memo_stays_bounded():
         _, sap = block_from_bits(index_bits + [1] * cfg.symbol_bits, cfg, cs)
         assert sap.groups[0].rows == subset_unrank(rank, 16, 8)
     assert core._group_sap.cache_info().currsize == size
+
+
+# ---------------------------------------------------------------------------
+# Sap
+
+def flat_active(sap):
+    """The flat index set as it was stored when Sap built it eagerly."""
+    G = len(sap.groups)
+    return tuple(sorted(G * r + g for g, gs in enumerate(sap.groups) for r in gs.rows))
+
+
+def test_sap_equality_hash_and_pickle():
+    a = Sap((GroupSap((0, 3)), GroupSap((1, 2))))
+    b = Sap([GroupSap((0, 3)), GroupSap((1, 2))])
+    c = Sap((GroupSap((1, 2)), GroupSap((0, 3))))
+    assert a == b and hash(a) == hash(b)
+    assert a != c and a.active != c.active
+    # the hash of the (groups, active) pair that were both fields
+    assert hash(a) == hash((a.groups, flat_active(a)))
+    fresh = Sap((GroupSap((0, 3)), GroupSap((1, 2))))
+    for sap in (fresh, a):  # active not yet read, and already read
+        copy = pickle.loads(pickle.dumps(sap))
+        assert copy == sap and hash(copy) == hash(sap)
+        assert copy.active == sap.active == (0, 3, 5, 6)
+    assert {a: 1}[b] == 1
+    # a group cannot repeat a row, so the flat set cannot repeat an index
+    with pytest.raises(ValueError, match="distinct"):
+        GroupSap((2, 2))
+
+
+@pytest.mark.parametrize(
+    "n_fft,group_size,active",
+    [(16, 4, k) for k in (1, 2, 3)] + [(64, 16, k) for k in range(1, 16)] + [(32, 8, 5)],
+)
+def test_sap_active_is_the_sorted_flat_index_set(tmp_path, n_fft, group_size, active):
+    cfg = SystemConfig(n_fft=n_fft, group_size=group_size, active=active, mod_order=4)
+    cs = Constellation.psk(4)
+    rng = np.random.default_rng(n_fft + active)
+    path = tmp_path / "sap.json"
+    for _ in range(4):
+        bits = rng.integers(0, 2, cfg.bits_per_group * cfg.num_groups).tolist()
+        block, sap = block_from_bits(bits, cfg, cs)
+        groups = [(gs, cs.symbols[rng.integers(0, 4, active)]) for gs in sample_random_sap(cfg, rng).groups]
+        assembled_block, assembled = assemble_block(groups, cfg)
+        drawn = sample_random_sap(cfg, rng)
+        path.write_text(json.dumps({"groups": [list(gs.rows) for gs in drawn.groups]}))
+        loaded = cli._load_sap(str(path), cfg)
+        assert loaded == drawn
+        for s in (sap, assembled, drawn, loaded):
+            assert s.active == flat_active(s)
+            assert len(s.active) == cfg.total_active
+        # every active subcarrier holds a unit-modulus symbol, every other is 0
+        assert sap.active == tuple(np.flatnonzero(block).tolist())
+        assert assembled.active == tuple(np.flatnonzero(assembled_block).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -319,11 +319,12 @@ def test_slm_select_bytes_match_idft_and_candidate_paprs(n_fft, u, alphabet):
 
 def test_slm_select_runs_one_transform(monkeypatch):
     # all U candidates in one FFT, and no second transform for the kept signal
-    shapes = []
+    shapes, in_place = [], []
     ifft = np.fft.ifft
 
     def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
+        in_place.append(kwargs.get("out") is a)
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", counted)
@@ -331,6 +332,8 @@ def test_slm_select_runs_one_transform(monkeypatch):
     block, _ = random_block(CFG, seed=19)
     slm_select(block, gen_random_pss(CFG, 4, rng), gen_perm_set(CFG, 4, "random", rng), CFG)
     assert shapes == [(4, 64)]
+    # the gathered, phase-rotated spectrum is its own output: no FFT output is allocated
+    assert in_place == [True]
 
 
 def test_candidate_paprs_batch_matches_single_blocks():
