@@ -273,7 +273,7 @@ def test_group_pattern_memo_stays_bounded():
 # Sap
 
 def flat_active(sap):
-    """The flat index set as it was stored when Sap built it eagerly."""
+    """Reference for Sap.active: the sorted flat indices G*r + g of its rows."""
     G = len(sap.groups)
     return tuple(sorted(G * r + g for g, gs in enumerate(sap.groups) for r in gs.rows))
 
@@ -284,7 +284,7 @@ def test_sap_equality_hash_and_pickle():
     c = Sap((GroupSap((1, 2)), GroupSap((0, 3))))
     assert a == b and hash(a) == hash(b)
     assert a != c and a.active != c.active
-    # the hash of the (groups, active) pair that were both fields
+    # the hash a dataclass with the fields (groups, active) computes
     assert hash(a) == hash((a.groups, flat_active(a)))
     fresh = Sap((GroupSap((0, 3)), GroupSap((1, 2))))
     for sap in (fresh, a):  # active not yet read, and already read
