@@ -40,7 +40,6 @@ from .core import (
     map_bits_to_group,
     oversampled_idft,
     papr_db,
-    papr_db_vs_mean,
     sample_random_sap,
     subset_rank,
     subset_unrank,
@@ -65,5 +64,4 @@ from .slm import (
     pss_from_json,
     pss_to_json,
     slm_select,
-    validate_permutation,
 )

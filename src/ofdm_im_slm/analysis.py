@@ -60,8 +60,12 @@ def var_rho_empirical(cfg: SystemConfig, m: int, trials: int, rng: np.random.Gen
     return float(np.mean(np.abs(rho) ** 2) - np.abs(np.mean(rho)) ** 2)
 
 
+# patterns per chunk of var_rho_empirical_profile, each a row of N complex values
+VAR_RHO_CHUNK = 20000
+
+
 def var_rho_empirical_profile(
-    cfg: SystemConfig, trials: int, rng: np.random.Generator, chunk: int = 20000
+    cfg: SystemConfig, trials: int, rng: np.random.Generator, chunk: int = VAR_RHO_CHUNK
 ) -> np.ndarray:
     """Empirical variance of rho(m) for every lag m at once (chunked FFT)."""
     if trials < 1:

@@ -1,13 +1,15 @@
 """Seeded Monte-Carlo CCDF estimation of PAPR for configurable schemes.
 
 Reproducibility contract: all randomness in a run derives from the plan
-seed. The generator sets are instantiated once per plan
-(``TrialPlan.generator_sets``) from stream (seed, 0) in a fixed order
-(phase sequences first, then permutations); trial blocks are
-drawn in fixed-size batches of BATCH_TRIALS, batch b using stream
-(seed, 2, b). Workers only partition whole batches and the reduction is
-integer addition, so identical plans give bit-identical exceedance counts
-for any worker count.
+seed. The plan builds what a run derives from it on first use and keeps
+it: the generator sets (``TrialPlan.generator_sets``), drawn from stream
+(seed, 0) in a fixed order (phase sequences first, then permutations), and
+in bits mode the table of ranked patterns (``TrialPlan.subset_table``).
+Trial blocks are drawn in fixed-size batches of BATCH_TRIALS, batch b
+(``_batch_counts(plan, b)``) using stream (seed, 2, b). Workers receive the
+plan, only partition whole batches and the reduction is integer addition,
+so identical plans give bit-identical exceedance counts for any worker
+count.
 
 Per-batch draw order (per trial block): for each group in order, the
 active rows (uniform subset, or ranked-word lookup in bits mode), then all
@@ -77,21 +79,21 @@ class SchemeDescriptor:
     pinned_perms: PermutationSet | None = None
 
     def __post_init__(self):
-        if self.mode == "original":
-            # original transmission is exactly one untouched branch
-            if self.u != 1 or self.pss_kind != "all-ones" or self.perm_kind != "identity":
-                raise ValueError("original mode implies u=1, all-ones PSS, identity permutation")
-        elif self.mode == "slm":
-            if self.u < 1:
-                raise ValueError("u must be >= 1")
-            if self.pss_kind not in PSS_KINDS or self.perm_kind not in PERM_KINDS:
-                raise ValueError(f"unknown pss/perm kind: {self.pss_kind}/{self.perm_kind}")
-            if self.pss_kind == "pinned" and (self.pinned_pss is None or self.pinned_pss.u != self.u):
-                raise ValueError("pinned pss_kind requires pinned_pss with matching u")
-            if self.perm_kind == "pinned" and (self.pinned_perms is None or self.pinned_perms.u != self.u):
-                raise ValueError("pinned perm_kind requires pinned_perms with matching u")
-        else:
+        if self.mode not in ("original", "slm"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        # original transmission is SLM with one untouched branch
+        if self.mode == "original" and (self.pss_kind != "all-ones" or self.perm_kind != "identity"):
+            raise ValueError("original mode implies u=1, all-ones PSS, identity permutation")
+        if self.u < 1:
+            raise ValueError("u must be >= 1")
+        if self.pss_kind not in PSS_KINDS or self.perm_kind not in PERM_KINDS:
+            raise ValueError(f"unknown pss/perm kind: {self.pss_kind}/{self.perm_kind}")
+        if self.pss_kind == "all-ones" and self.u != 1:
+            raise ValueError(f"an all-ones PSS has one sequence, so u must be 1, got {self.u}")
+        if self.pss_kind == "pinned" and (self.pinned_pss is None or self.pinned_pss.u != self.u):
+            raise ValueError("pinned pss_kind requires pinned_pss with matching u")
+        if self.perm_kind == "pinned" and (self.pinned_perms is None or self.pinned_perms.u != self.u):
+            raise ValueError("pinned perm_kind requires pinned_perms with matching u")
         if self.sap_source not in SAP_SOURCES:
             raise ValueError(f"unknown sap_source {self.sap_source!r}")
 
@@ -141,6 +143,17 @@ class TrialPlan:
     def generator_sets(self) -> tuple:
         """(pss, perms) from ``instantiate_scheme``, built on first use and kept."""
         return instantiate_scheme(self)
+
+    @cached_property
+    def subset_table(self) -> np.ndarray | None:
+        """Bits mode: the pattern of every rank, row r = ``core.subset_unrank(r, n, k)``
+        (``combinations`` runs in lexicographic order). None for uniform patterns."""
+        if self.scheme.sap_source != "bits":
+            return None
+        words, k = 1 << self.cfg.index_bits, self.cfg.active
+        subsets = itertools.islice(itertools.combinations(range(self.cfg.group_size), k), words)
+        table = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp, count=words * k)
+        return table.reshape(words, k)
 
 
 @dataclass(frozen=True)
@@ -196,58 +209,30 @@ def instantiate_scheme(plan: TrialPlan):
         perms = gen_perm_set(cfg, scheme.u, "random", setup_rng)
     else:
         perms = scheme.pinned_perms
-    if pss.n_fft != cfg.n_fft or perms.perms.shape[1] != cfg.n_fft:
-        raise ValueError("pss/perm length does not match cfg.n_fft")
-    return pss, perms
+    if pss.n_fft != cfg.n_fft:
+        raise ValueError(f"phase sequence length {pss.n_fft} is not n_fft={cfg.n_fft}")
+    return pss, perms.check(cfg)
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    """Plan plus the arrays batch execution derives from it once."""
-
-    plan: TrialPlan
-    pss_seq: np.ndarray
-    perm_inv: np.ndarray
-    symbols: np.ndarray
-    subset_table: np.ndarray | None
-
-
-def _resolve(plan: TrialPlan) -> _Resolved:
+def _batch_counts(plan: TrialPlan, batch_index: int) -> np.ndarray:
     cfg = plan.cfg
     pss, perms = plan.generator_sets
-    table = None
-    if plan.scheme.sap_source == "bits":
-        # row r is core.subset_unrank(r, n, k): combinations() runs in lexicographic order
-        words, k = 1 << cfg.index_bits, cfg.active
-        subsets = itertools.islice(itertools.combinations(range(cfg.group_size), k), words)
-        table = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp, count=words * k)
-        table = table.reshape(words, k)
-    return _Resolved(
-        plan=plan,
-        pss_seq=pss.sequences,
-        perm_inv=perms.inverse,
-        symbols=Constellation.psk(cfg.mod_order).symbols,
-        subset_table=table,
-    )
-
-
-def _batch_counts(res: _Resolved, batch_index: int) -> np.ndarray:
-    plan, cfg = res.plan, res.plan.cfg
+    symbols = Constellation.psk(cfg.mod_order).symbols
     size = min(BATCH_TRIALS, plan.trials - batch_index * BATCH_TRIALS)
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(2, batch_index)))
 
     if plan.scheme.sap_source == "uniform":
         pos = draw_active_positions(cfg, size, rng)
     else:
-        G = cfg.num_groups
-        ranks = [rng.integers(0, res.subset_table.shape[0], size=size) for _ in range(G)]
-        pos = np.concatenate([res.subset_table[r] * G + g for g, r in enumerate(ranks)], axis=1)
-    sym_idx = rng.integers(0, res.symbols.size, size=pos.shape)
+        G, table = cfg.num_groups, plan.subset_table
+        ranks = [rng.integers(0, table.shape[0], size=size) for _ in range(G)]
+        pos = np.concatenate([table[r] * G + g for g, r in enumerate(ranks)], axis=1)
+    sym_idx = rng.integers(0, symbols.size, size=pos.shape)
 
     block = np.zeros((size, cfg.n_fft), dtype=complex)
-    np.put_along_axis(block, pos, res.symbols[sym_idx], axis=1)
+    np.put_along_axis(block, pos, symbols[sym_idx], axis=1)
 
-    paprs = candidate_paprs_db(block, res.pss_seq, res.perm_inv, cfg.mean_power, plan.oversample)
+    paprs = candidate_paprs_db(block, pss.sequences, perms.inverse, cfg.mean_power, plan.oversample)
     return _exceedance_counts(paprs.min(axis=-1), plan.gamma_db)
 
 
@@ -261,33 +246,34 @@ def _exceedance_counts(values: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return values.size - np.cumsum(below[:-1], dtype=np.int64)
 
 
-_WORKER_RESOLVED = None
+_WORKER_PLAN = None
 
 
-def _worker_init(res):
-    global _WORKER_RESOLVED
-    _WORKER_RESOLVED = res
+def _worker_init(plan):
+    global _WORKER_PLAN
+    _WORKER_PLAN = plan
 
 
 def _worker_batch(batch_index):
-    return _batch_counts(_WORKER_RESOLVED, batch_index)
+    return _batch_counts(_WORKER_PLAN, batch_index)
 
 
 def run_ccdf(plan: TrialPlan, workers: int = 1) -> CcdfCurve:
     """Estimate the PAPR CCDF for a plan; workers never change the counts."""
-    res = _resolve(plan)
+    # built before the pool starts, so that every worker inherits them
+    plan.generator_sets, plan.subset_table
     n_batches = -(-plan.trials // BATCH_TRIALS)
     # a worker takes whole batches, so more workers than batches would idle
     workers = min(workers, n_batches)
     counts = np.zeros(plan.gamma_db.size, dtype=np.int64)
     if workers <= 1:
         for b in range(n_batches):
-            counts += _batch_counts(res, b)
+            counts += _batch_counts(plan, b)
     else:
         # fork keeps workers importable without a __main__ guard in callers
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         ctx = multiprocessing.get_context(method)
-        with ctx.Pool(workers, initializer=_worker_init, initargs=(res,)) as pool:
+        with ctx.Pool(workers, initializer=_worker_init, initargs=(plan,)) as pool:
             for c in pool.imap_unordered(_worker_batch, range(n_batches)):
                 counts += c
     return CcdfCurve(gamma_db=plan.gamma_db, counts=counts, trials=plan.trials)
@@ -400,8 +386,9 @@ def _fingerprint(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def plan_json_doc(plan: TrialPlan, pss: PhaseSequenceSet, perms: PermutationSet) -> dict:
+def plan_json_doc(plan: TrialPlan) -> dict:
     cfg = plan.cfg
+    pss, perms = plan.generator_sets
     return {
         "config": {
             "n_fft": cfg.n_fft,

@@ -10,7 +10,8 @@ Flag-to-parameter mapping: --n-fft = total subcarriers, --group-size =
 subcarriers per group, --active = active subcarriers per group,
 --mod-order = constellation order.
 
-Exit codes: 0 success, 2 invalid configuration or malformed input,
+Exit codes: 0 success, 2 invalid configuration or malformed input, or a run
+whose largest array would hold more than ccdf.MAX_PLAN_ELEMENTS values;
 3 unwritable output path. All randomized outputs are fully determined by
 --seed; --workers never changes results.
 """
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    VAR_RHO_CHUNK,
     mu_metric,
     punctured_spectrum,
     spectrum_bound,
@@ -35,6 +37,7 @@ from .analysis import (
     var_rho_empirical_profile,
 )
 from .ccdf import (
+    MAX_PLAN_ELEMENTS,
     CcdfCurve,
     SchemeDescriptor,
     TrialPlan,
@@ -95,6 +98,15 @@ def _parse_gamma(spec: str) -> np.ndarray:
     if count > MAX_GAMMA_POINTS:
         raise CliError(2, f"gamma spec {spec!r} gives {count} points, more than {MAX_GAMMA_POINTS}")
     return np.round(start + step * np.arange(count), 9)
+
+
+def _check_array_size(rows: int, cols: int):
+    """Exit 2 before a run whose largest array, rows x cols values, would be
+    over the cap that ``ccdf`` plans have."""
+    if rows * cols > MAX_PLAN_ELEMENTS:
+        raise CliError(
+            2, f"invalid run: it needs an array of {rows} x {cols} values, more than {MAX_PLAN_ELEMENTS}"
+        )
 
 
 def _read_json(path: str) -> dict:
@@ -221,7 +233,7 @@ def cmd_ccdf(args) -> int:
     if args.workers < 1:
         raise CliError(2, f"--workers must be >= 1, got {args.workers}")
     try:
-        pss, perms = plan.generator_sets
+        plan.generator_sets  # built and checked once, here
     except ValueError as e:
         raise CliError(2, f"invalid generator sets: {e}")
 
@@ -232,7 +244,7 @@ def cmd_ccdf(args) -> int:
 
     curve = run_ccdf(plan, workers=args.workers)
     _write_text(csv_path, curve_csv_text(curve))
-    _write_text(json_path, json.dumps(plan_json_doc(plan, pss, perms), indent=2, sort_keys=True) + "\n")
+    _write_text(json_path, json.dumps(plan_json_doc(plan), indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path} and {json_path} ({plan.trials} trials)")
     return 0
 
@@ -242,6 +254,8 @@ def cmd_ccdf(args) -> int:
 
 def cmd_analyze_perm(args) -> int:
     cfg = _build_cfg(args)
+    # the N x N grid of mu_metric; a drawn set is U x N
+    _check_array_size(cfg.n_fft if args.perm_file else max(args.u, cfg.n_fft), cfg.n_fft)
     if args.perm_file:
         try:
             perms = perm_set_from_json(_read_json(args.perm_file), cfg)
@@ -291,6 +305,7 @@ def cmd_analyze_pss(args) -> int:
         except (KeyError, ValueError) as e:
             raise CliError(2, f"malformed PSS file {args.pss_file}: {e}")
     else:
+        _check_array_size(args.u, cfg.n_fft)  # the U x N set drawn here
         try:
             if args.pss == "hadamard":
                 pss = gen_hadamard_pss(cfg, args.u)
@@ -324,6 +339,7 @@ def cmd_analyze_pss(args) -> int:
 
 def cmd_verify_var_rho(args) -> int:
     cfg = _build_cfg(args)
+    _check_array_size(min(args.trials, VAR_RHO_CHUNK), cfg.n_fft)  # one chunk of patterns
     if args.m_values:
         try:
             m_list = [int(v) for v in args.m_values.split(",")]

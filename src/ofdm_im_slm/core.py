@@ -343,15 +343,10 @@ def dft(signal: np.ndarray) -> np.ndarray:
     return np.fft.fft(signal, axis=-1) / math.sqrt(n)
 
 
-def papr_db_vs_mean(signal: np.ndarray, mean_power: float) -> float:
-    """Peak power over a fixed reference mean power, in dB."""
-    peak = float(np.max(np.abs(signal) ** 2))
-    return 10.0 * math.log10(peak / mean_power)
-
-
 def papr_db(signal: np.ndarray, cfg: SystemConfig) -> float:
-    """PAPR in dB, referenced to the ensemble mean power active/group_size."""
-    return papr_db_vs_mean(signal, cfg.mean_power)
+    """PAPR in dB: peak power over the ensemble mean power active/group_size."""
+    peak = float(np.max(np.abs(signal) ** 2))
+    return 10.0 * math.log10(peak / cfg.mean_power)
 
 
 def oversampled_idft(block: np.ndarray, factor: int) -> np.ndarray:

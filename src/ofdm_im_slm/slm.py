@@ -204,14 +204,6 @@ class PermutationSet:
         return self
 
 
-def validate_permutation(d: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """One permutation row, checked for bijectivity, length and group closure."""
-    d = np.asarray(d, dtype=np.intp)
-    if d.ndim != 1:
-        raise ValueError("not a permutation of 0..n_fft-1")
-    return PermutationSet(d).check(cfg).perms[0]
-
-
 def gen_perm_set(
     cfg: SystemConfig,
     u: int,

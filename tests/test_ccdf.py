@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from ofdm_im_slm import (
     CcdfCurve,
     Constellation,
+    PermutationSet,
     SchemeDescriptor,
     SystemConfig,
     TrialPlan,
@@ -21,9 +23,9 @@ from ofdm_im_slm.ccdf import (
     BATCH_TRIALS,
     MAX_PLAN_ELEMENTS,
     MAX_SUBSET_TABLE_ENTRIES,
+    SAP_SOURCES,
     _batch_counts,
     _exceedance_counts,
-    _resolve,
     curve_csv_text,
     plan_json_doc,
 )
@@ -57,6 +59,21 @@ def test_scheme_validation():
         SchemeDescriptor(mode="slm", u=2, pss_kind="dither")
     with pytest.raises(ValueError):
         SchemeDescriptor(mode="slm", u=2, sap_source="poisson")
+    # an all-ones PSS has one sequence, so it makes one branch only
+    with pytest.raises(ValueError, match="all-ones"):
+        SchemeDescriptor(mode="slm", u=4, pss_kind="all-ones")
+    SchemeDescriptor(mode="slm", u=1, pss_kind="all-ones")
+
+
+def test_pinned_permutations_must_stay_in_their_groups():
+    # a bijection that swaps subcarriers 0 and 1, which lie in different groups
+    d = np.arange(CFG.n_fft)
+    d[[0, 1]] = 1, 0
+    scheme = SchemeDescriptor(
+        mode="slm", u=1, pss_kind="all-ones", perm_kind="pinned", pinned_perms=PermutationSet(d)
+    )
+    with pytest.raises(ValueError, match="residue"):
+        run_ccdf(make_plan(scheme=scheme, trials=10))
 
 
 def test_plan_validation():
@@ -133,7 +150,7 @@ class RecordingContext:
 def test_pool_never_larger_than_batch_count(monkeypatch):
     context = RecordingContext()
     monkeypatch.setattr(ccdf.multiprocessing, "get_context", lambda method: context)
-    monkeypatch.setattr(ccdf, "_WORKER_RESOLVED", None)
+    monkeypatch.setattr(ccdf, "_WORKER_PLAN", None)
     plan = make_plan(trials=BATCH_TRIALS * 2 + 5)  # 3 batches
     serial = run_ccdf(plan, workers=1)
     for workers, size in ((2, 2), (3, 3), (8, 3), (1000, 3)):
@@ -188,17 +205,30 @@ def replayed_oracle_counts(plan):
 def test_batch_path_matches_scalar_pipeline():
     scheme = SchemeDescriptor(mode="slm", u=3, pss_kind="random", perm_kind="random")
     plan = make_plan(scheme=scheme, trials=200, seed=77)
-    assert np.array_equal(_batch_counts(_resolve(plan), 0), replayed_oracle_counts(plan))
+    assert np.array_equal(_batch_counts(plan, 0), replayed_oracle_counts(plan))
 
 
 def test_oversampled_batch_path_matches_zero_padded_oracle():
     scheme = SchemeDescriptor(mode="slm", u=3, pss_kind="random", perm_kind="random")
     plan = make_plan(scheme=scheme, trials=200, seed=78, oversample=4)
-    counts = _batch_counts(_resolve(plan), 0)
+    counts = _batch_counts(plan, 0)
     assert np.array_equal(counts, replayed_oracle_counts(plan))
     # the zero-padded envelope reaches values the Nyquist samples miss
-    nyquist = _batch_counts(_resolve(make_plan(scheme=scheme, trials=200, seed=78)), 0)
+    nyquist = _batch_counts(make_plan(scheme=scheme, trials=200, seed=78), 0)
     assert np.all(counts >= nyquist) and np.any(counts > nyquist)
+
+
+@pytest.mark.parametrize("sap_source", SAP_SOURCES)
+def test_pickled_plan_keeps_what_it_built(sap_source):
+    # a worker started by spawn receives the plan pickled, with the sets and
+    # table run_ccdf built before starting the pool
+    scheme = SchemeDescriptor(mode="slm", u=3, pss_kind="random", perm_kind="random", sap_source=sap_source)
+    plan = make_plan(cfg=CFG14, scheme=scheme, trials=500, seed=9)
+    plan.generator_sets, plan.subset_table
+    copy = pickle.loads(pickle.dumps(plan))
+    assert "generator_sets" in vars(copy) and "subset_table" in vars(copy)
+    assert (copy.subset_table is None) == (sap_source == "uniform")
+    assert np.array_equal(_batch_counts(copy, 0), _batch_counts(plan, 0))
 
 
 def test_exceedance_counts_match_broadcast_comparison():
@@ -272,7 +302,7 @@ def test_bits_sap_source_runs():
 def test_bits_pattern_table_is_subset_unrank(group_size, active):
     cfg = SystemConfig(n_fft=64, group_size=group_size, active=active, mod_order=4)
     scheme = SchemeDescriptor(mode="slm", u=2, sap_source="bits")
-    table = _resolve(make_plan(cfg=cfg, scheme=scheme, trials=10)).subset_table
+    table = make_plan(cfg=cfg, scheme=scheme, trials=10).subset_table
     assert table.shape == (1 << cfg.index_bits, active) and table.dtype == np.intp
     for rank in range(table.shape[0]):
         assert tuple(table[rank]) == subset_unrank(rank, group_size, active)
@@ -438,11 +468,9 @@ def test_plan_json_doc_fingerprints():
     plan = make_plan(
         scheme=SchemeDescriptor(mode="slm", u=2, pss_kind="random", perm_kind="random"), trials=10
     )
-    pss, perms = instantiate_scheme(plan)
-    doc = plan_json_doc(plan, pss, perms)
+    doc = plan_json_doc(plan)
     assert doc["trials"] == 10 and doc["seed"] == plan.seed
     assert len(doc["pss_sha256"]) == 64 and len(doc["perm_sha256"]) == 64
     assert doc["scheme"]["pss_kind"] == "random"
-    pss2, perms2 = instantiate_scheme(plan)
-    doc2 = plan_json_doc(plan, pss2, perms2)
+    doc2 = plan_json_doc(make_plan(scheme=plan.scheme, trials=10))
     assert doc == doc2  # instantiation is deterministic

@@ -248,6 +248,26 @@ def test_ccdf_plan_beyond_the_array_cap_exit_2(tmp_path, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+@needs_fork_and_statm
+@pytest.mark.parametrize("argv", [
+    ["analyze-pss", "--n-fft", "1073741824"],  # the U x N phase sequences: 16 GiB
+    ["analyze-pss", "--u", "100000000"],
+    ["analyze-perm", "--n-fft", "65536"],  # the N x N mu grid: 32 GiB
+    ["analyze-perm", "--n-fft", "8192"],  # 2^26 values, just above the cap
+    ["analyze-perm", "--u", "100000000"],  # the U x N drawn set: 48 GiB
+    ["verify-var-rho", "--n-fft", "1073741824", "--trials", "1"],  # one chunk of patterns: 8 GiB
+    ["verify-var-rho", "--n-fft", "2048", "--trials", "20000"],  # 20000 x 2048, just above the cap
+])
+def test_analysis_command_beyond_the_array_cap_exit_2(tmp_path, argv):
+    # each command works out its largest array from its arguments and is
+    # refused before it allocates or writes anything
+    rc, err = run_cli_capped([*argv, "--out", str(tmp_path / "x.out")])
+    assert rc == 2, err
+    assert err.startswith("error: invalid run: ") and err.count("\n") == 1
+    assert f"more than {ccdf.MAX_PLAN_ELEMENTS}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("group_size,active", [(32, 16), (64, 32)])
 def test_ccdf_bits_source_with_huge_pattern_table_exit_2(tmp_path, capsys, group_size, active):
     # 2^29 and 2^60 ranked patterns: rejected before any table or batch

@@ -21,7 +21,6 @@ from ofdm_im_slm import (
     map_bits_to_group,
     oversampled_idft,
     papr_db,
-    papr_db_vs_mean,
     sample_random_sap,
     subset_rank,
     subset_unrank,
@@ -398,7 +397,8 @@ def test_idft_matches_oracle_and_parseval():
 def test_papr_classical_all_ones():
     # full activation, all-ones block: impulse, PAPR = N
     x = idft(np.ones(64))
-    assert abs(papr_db_vs_mean(x, 1.0) - 10 * math.log10(64)) < 1e-9
+    # against a mean power of 1: papr_db's reference mean power taken back out
+    assert abs(papr_db(x, CFG) + 10 * math.log10(CFG.mean_power) - 10 * math.log10(64)) < 1e-9
 
 
 def test_papr_flat_envelope_zero_db():

@@ -28,7 +28,6 @@ from ofdm_im_slm import (
     pss_to_json,
     punctured_spectrum,
     slm_select,
-    validate_permutation,
 )
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
@@ -200,7 +199,7 @@ def test_explicit_perm_closure_violation_rejected():
     with pytest.raises(ValueError, match="residue"):
         gen_perm_set(CFG, 1, "explicit", explicit=[d])
     with pytest.raises(ValueError, match="permutation"):
-        validate_permutation(np.zeros(64, dtype=int), CFG)
+        PermutationSet(np.zeros(64, dtype=int)).check(CFG)
 
 
 def test_permutation_set_rejects_any_non_bijective_row():
