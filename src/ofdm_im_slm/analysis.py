@@ -141,10 +141,9 @@ class MuReport:
 
     mu: float
     grid_shape: tuple
-    pair: tuple | None = None
 
 
-def mu_metric(d1: np.ndarray, d2: np.ndarray, cfg: SystemConfig, pair=None) -> MuReport:
+def mu_metric(d1: np.ndarray, d2: np.ndarray, cfg: SystemConfig) -> MuReport:
     """Quality metric for a permutation pair; lower is better.
 
     Builds the magnitude |sum_i' exp(j*2*pi*(i'*m - e(i')*l)/N)| for every
@@ -156,7 +155,7 @@ def mu_metric(d1: np.ndarray, d2: np.ndarray, cfg: SystemConfig, pair=None) -> M
     e = np.asarray(d1)[np.argsort(np.asarray(d2))]
     phase = np.exp(-2j * np.pi * np.outer(np.arange(N), e) / N)  # rows: l
     grid = np.abs(np.fft.ifft(phase, axis=1)) * N
-    return MuReport(mu=float(np.var(grid)), grid_shape=grid.shape, pair=pair)
+    return MuReport(mu=float(np.var(grid)), grid_shape=grid.shape)
 
 
 def mu_metric_set(perms: PermutationSet, cfg: SystemConfig) -> float:

@@ -203,15 +203,11 @@ def instantiate_scheme(plan: TrialPlan):
         pss = gen_hadamard_pss(cfg, scheme.u)
     else:
         pss = scheme.pinned_pss
-    if scheme.perm_kind == "identity":
-        perms = gen_perm_set(cfg, scheme.u, "identity")
-    elif scheme.perm_kind == "random":
-        perms = gen_perm_set(cfg, scheme.u, "random", setup_rng)
-    else:
+    if scheme.perm_kind == "pinned":
         perms = scheme.pinned_perms
-    if pss.n_fft != cfg.n_fft:
-        raise ValueError(f"phase sequence length {pss.n_fft} is not n_fft={cfg.n_fft}")
-    return pss, perms.check(cfg)
+    else:
+        perms = gen_perm_set(cfg, scheme.u, scheme.perm_kind, setup_rng)
+    return pss.check(cfg), perms.check(cfg)
 
 
 def _batch_counts(plan: TrialPlan, batch_index: int) -> np.ndarray:

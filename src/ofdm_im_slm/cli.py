@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -109,17 +110,24 @@ def _check_array_size(rows: int, cols: int):
         )
 
 
-def _read_json(path: str) -> dict:
+def _load(path: str, what: str, parse):
+    """``parse(doc)`` of the JSON document at ``path``. Exit 2 if the file
+    cannot be read, or if ``parse`` finds the document malformed."""
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except (OSError, ValueError) as e:
         raise CliError(2, f"cannot read {path}: {e}")
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise CliError(2, f"malformed {what} file {path}: {e}")
 
 
-def _write_text(path: str, text: str):
-    """Write to a temporary file in the target directory, then rename it over
-    ``path``, so a run that fails leaves no partial or empty output."""
+def _write_lines(path: str, lines):
+    """Write ``lines`` as they are made to a temporary file in the target
+    directory, then rename it over ``path``, so a run that fails leaves no
+    partial or empty output."""
     target = os.path.realpath(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".", suffix=".tmp")
@@ -127,7 +135,7 @@ def _write_text(path: str, text: str):
         raise CliError(3, f"cannot write {path}: {e}")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(lines)
         os.chmod(tmp, _open_mode(target))
         os.replace(tmp, target)
     except OSError as e:
@@ -153,7 +161,7 @@ def _check_writable(path: str):
     """Exit 3 before a run whose output could not be written; create nothing.
 
     An existing ``path`` must open for writing, and its directory must take
-    the temporary file that ``_write_text`` renames into place.
+    the temporary file that ``_write_lines`` renames into place.
     """
     target = os.path.realpath(path)
     try:
@@ -168,11 +176,7 @@ def _check_writable(path: str):
 
 
 def _load_sap(path: str, cfg: SystemConfig) -> Sap:
-    doc = _read_json(path)
-    try:
-        return Sap(tuple(GroupSap(tuple(rows)) for rows in doc["groups"])).check(cfg)
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(2, f"malformed SAP file {path}: {e}")
+    return _load(path, "SAP", lambda doc: Sap(tuple(GroupSap(rows) for rows in doc["groups"])).check(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +193,12 @@ def cmd_ccdf(args) -> int:
         u = 4 if args.u is None else args.u
         pss_arg = args.pss or "random"
         perm_arg = args.perm or "identity"
-        if pss_arg in ("random", "hadamard", "cyclic-hadamard"):
-            pss_kind = "cyclic-hadamard" if pss_arg != "random" else "random"
-        else:
-            pss_kind = "pinned"
-            try:
-                pinned_pss = pss_from_json(_read_json(pss_arg))
-            except ValueError as e:
-                raise CliError(2, f"malformed PSS file {pss_arg}: {e}")
-        if perm_arg in ("identity", "random"):
-            perm_kind = perm_arg
-        else:
-            perm_kind = "pinned"
-            try:
-                pinned_perms = perm_set_from_json(_read_json(perm_arg), cfg)
-            except (KeyError, ValueError) as e:
-                raise CliError(2, f"malformed permutation file {perm_arg}: {e}")
+        pss_kind = {"random": "random", "hadamard": "cyclic-hadamard"}.get(pss_arg, "pinned")
+        if pss_kind == "pinned":
+            pinned_pss = _load(pss_arg, "PSS", lambda doc: pss_from_json(doc).check(cfg))
+        perm_kind = perm_arg if perm_arg in ("identity", "random") else "pinned"
+        if perm_kind == "pinned":
+            pinned_perms = _load(perm_arg, "permutation", lambda doc: perm_set_from_json(doc, cfg))
         try:
             scheme = SchemeDescriptor(
                 mode="slm",
@@ -243,8 +237,8 @@ def cmd_ccdf(args) -> int:
     _check_writable(json_path)
 
     curve = run_ccdf(plan, workers=args.workers)
-    _write_text(csv_path, curve_csv_text(curve))
-    _write_text(json_path, json.dumps(plan_json_doc(plan), indent=2, sort_keys=True) + "\n")
+    _write_lines(csv_path, [curve_csv_text(curve)])
+    _write_lines(json_path, [json.dumps(plan_json_doc(plan), indent=2, sort_keys=True) + "\n"])
     print(f"wrote {csv_path} and {json_path} ({plan.trials} trials)")
     return 0
 
@@ -257,10 +251,7 @@ def cmd_analyze_perm(args) -> int:
     # the N x N grid of mu_metric; a drawn set is U x N
     _check_array_size(cfg.n_fft if args.perm_file else max(args.u, cfg.n_fft), cfg.n_fft)
     if args.perm_file:
-        try:
-            perms = perm_set_from_json(_read_json(args.perm_file), cfg)
-        except (KeyError, TypeError, ValueError) as e:
-            raise CliError(2, f"malformed permutation file {args.perm_file}: {e}")
+        perms = _load(args.perm_file, "permutation", lambda doc: perm_set_from_json(doc, cfg))
     else:
         rng = np.random.default_rng(args.seed)
         try:
@@ -273,10 +264,10 @@ def cmd_analyze_perm(args) -> int:
     pairs = []
     for u in range(perms.u):
         for v in range(u + 1, perms.u):
-            report = mu_metric(perms.perms[u], perms.perms[v], cfg, pair=(u, v))
-            pairs.append(report)
-            print(f"pair ({u},{v}): mu = {format_sig9(report.mu)}")
-    aggregate = float(np.mean([r.mu for r in pairs]))
+            mu = mu_metric(perms.perms[u], perms.perms[v], cfg).mu
+            pairs.append({"u": u, "v": v, "mu": mu})
+            print(f"pair ({u},{v}): mu = {format_sig9(mu)}")
+    aggregate = float(np.mean([p["mu"] for p in pairs]))
     print(f"aggregate mu = {format_sig9(aggregate)}")
 
     if args.out:
@@ -285,10 +276,10 @@ def cmd_analyze_perm(args) -> int:
             "num_groups": cfg.num_groups,
             "u": perms.u,
             "kind": perms.kind,
-            "pairs": [{"u": r.pair[0], "v": r.pair[1], "mu": r.mu} for r in pairs],
+            "pairs": pairs,
             "aggregate_mu": aggregate,
         }
-        _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_lines(args.out, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
         print(f"wrote {args.out}")
     return 0
 
@@ -300,10 +291,7 @@ def cmd_analyze_pss(args) -> int:
     cfg = _build_cfg(args)
     rng = np.random.default_rng(args.seed)
     if args.pss_file:
-        try:
-            pss = pss_from_json(_read_json(args.pss_file))
-        except (KeyError, ValueError) as e:
-            raise CliError(2, f"malformed PSS file {args.pss_file}: {e}")
+        pss = _load(args.pss_file, "PSS", lambda doc: pss_from_json(doc).check(cfg))
     else:
         _check_array_size(args.u, cfg.n_fft)  # the U x N set drawn here
         try:
@@ -313,8 +301,6 @@ def cmd_analyze_pss(args) -> int:
                 pss = gen_random_pss(cfg, args.u, rng, alphabet=args.pss_alphabet)
         except ValueError as e:
             raise CliError(2, f"invalid PSS: {e}")
-    if pss.n_fft != cfg.n_fft:
-        raise CliError(2, f"PSS length {pss.n_fft} does not match n_fft {cfg.n_fft}")
     u, v = args.pair
     if not (0 <= u < pss.u and 0 <= v < pss.u and u != v):
         raise CliError(2, f"bad pair ({u},{v}) for a set of {pss.u} sequences")
@@ -322,14 +308,11 @@ def cmd_analyze_pss(args) -> int:
     sap = _load_sap(args.sap_file, cfg) if args.sap_file else sample_random_sap(cfg, rng)
     full = punctured_spectrum(pss.sequences[u], pss.sequences[v])
     punct = punctured_spectrum(pss.sequences[u], pss.sequences[v], sap)
-    lines = [
-        f"# c={format_sig9(full.c)}",
-        f"# bound={format_sig9(spectrum_bound(cfg, full.c))}",
-        "m,full,punctured",
-    ]
-    for m in range(cfg.n_fft):
-        lines.append(f"{m},{format_sig9(full.magnitudes[m])},{format_sig9(punct.magnitudes[m])}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    head = [f"# c={format_sig9(full.c)}\n", f"# bound={format_sig9(spectrum_bound(cfg, full.c))}\n",
+            "m,full,punctured\n"]
+    magnitudes = enumerate(zip(full.magnitudes, punct.magnitudes))
+    rows = (f"{m},{format_sig9(a)},{format_sig9(b)}\n" for m, (a, b) in magnitudes)
+    _write_lines(args.out, itertools.chain(head, rows))
     print(f"wrote {args.out} (c = {format_sig9(full.c)})")
     return 0
 
@@ -348,24 +331,25 @@ def cmd_verify_var_rho(args) -> int:
         if any(not 0 <= m < cfg.n_fft for m in m_list):
             raise CliError(2, "--m-values out of range")
     else:
-        m_list = list(range(cfg.n_fft))
+        m_list = range(cfg.n_fft)
     try:
         empirical = var_rho_empirical_profile(cfg, args.trials, np.random.default_rng(args.seed))
     except ValueError as e:
         raise CliError(2, f"invalid run: {e}")
 
-    lines = ["m,analytic,empirical,rel_error"]
-    for m in m_list:
-        analytic = var_rho_closed_form(cfg, m)
-        emp = float(empirical[m])
-        rel = format_sig9(abs(emp - analytic) / analytic) if analytic > 0 else ""
-        lines.append(f"{m},{format_sig9(analytic)},{format_sig9(emp)},{rel}")
-    text = "\n".join(lines) + "\n"
+    def lines():
+        yield "m,analytic,empirical,rel_error\n"
+        for m in m_list:
+            analytic = var_rho_closed_form(cfg, m)
+            emp = float(empirical[m])
+            rel = format_sig9(abs(emp - analytic) / analytic) if analytic > 0 else ""
+            yield f"{m},{format_sig9(analytic)},{format_sig9(emp)},{rel}\n"
+
     if args.out:
-        _write_text(args.out, text)
+        _write_lines(args.out, lines())
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines())
     return 0
 
 

@@ -125,10 +125,15 @@ class GroupSap:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        given = tuple(self.rows)
+        try:
+            rows = tuple(int(r) for r in given)
+        except (OverflowError, ValueError):  # an entry with no integer value: inf, NaN, "a"
+            rows = None
+        # an entry such as 0.5 or "1" differs from its integer value
+        if rows != given or sorted(set(rows)) != list(rows) or (rows and rows[0] < 0):
+            raise ValueError(f"rows must be sorted, distinct, nonnegative integers: {given}")
         object.__setattr__(self, "rows", rows)
-        if sorted(set(rows)) != list(rows) or (rows and rows[0] < 0):
-            raise ValueError(f"rows must be sorted, distinct and nonnegative: {rows}")
 
 
 @dataclass(frozen=True)

@@ -85,13 +85,13 @@ def mls_plus_minus(spec: MlsSpec) -> np.ndarray:
     return 1.0 - 2.0 * gen_mls(spec).astype(float)
 
 
-def cyclic_hadamard_matrix(degree: int, taps: tuple = ()) -> np.ndarray:
+def cyclic_hadamard_matrix(degree: int) -> np.ndarray:
     """N x N +-1 matrix, N = 2^degree: all-ones border, circulant MLS core.
 
     Row u >= 1 is [1, b shifted left by u-1]; the two-valued autocorrelation
     of the sequence makes the rows mutually orthogonal.
     """
-    b = mls_plus_minus(MlsSpec(degree, taps))
+    b = mls_plus_minus(MlsSpec(degree))
     size = b.size + 1
     h = np.ones((size, size))
     for s in range(size - 1):
@@ -104,7 +104,10 @@ def cyclic_hadamard_matrix(degree: int, taps: tuple = ()) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSequenceSet:
-    """U unit-modulus rows of length n_fft, pairwise distinct."""
+    """U unit-modulus rows of length n_fft, pairwise distinct.
+
+    Construction checks the rows; ``check`` adds the length against a config.
+    """
 
     sequences: np.ndarray
     kind: str = "explicit"
@@ -112,14 +115,14 @@ class PhaseSequenceSet:
     def __post_init__(self):
         seq = np.atleast_2d(np.asarray(self.sequences, dtype=complex))
         object.__setattr__(self, "sequences", seq)
-        if seq.shape[0] < 1:
-            raise ValueError("need at least one phase sequence")
+        if seq.ndim != 2 or seq.shape[0] < 1:
+            raise ValueError("need a 2-D array of at least one phase sequence")
         # written so that a NaN entry fails too
         if not np.all(np.abs(np.abs(seq) - 1.0) <= 1e-12):
             raise ValueError("phase sequence entries must have unit modulus")
-        # lexicographic row order puts identical rows next to each other
-        rows = seq[np.lexsort(np.concatenate([seq.real, seq.imag], axis=1).T)]
-        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+        # + 0.0 turns -0.0 into 0.0, so rows equal under == have equal bytes;
+        # one row is copied at a time
+        if len({(row + 0.0).tobytes() for row in seq}) < seq.shape[0]:
             raise ValueError("phase sequence set has identical rows")
 
     @property
@@ -130,22 +133,23 @@ class PhaseSequenceSet:
     def n_fft(self) -> int:
         return self.sequences.shape[1]
 
+    def check(self, cfg: SystemConfig) -> "PhaseSequenceSet":
+        if self.n_fft != cfg.n_fft:
+            raise ValueError(f"phase sequence length {self.n_fft} is not n_fft={cfg.n_fft}")
+        return self
 
-def gen_hadamard_pss(cfg: SystemConfig, u: int, taps: tuple = ()) -> PhaseSequenceSet:
+
+def gen_hadamard_pss(cfg: SystemConfig, u: int) -> PhaseSequenceSet:
     """First u rows of the cyclic Hadamard matrix as a PSS (row 0 = all-ones)."""
     if not 1 <= u <= cfg.n_fft:
         raise ValueError(f"u={u} is not in 1..n_fft={cfg.n_fft}")
     degree = cfg.n_fft.bit_length() - 1
-    h = cyclic_hadamard_matrix(degree, taps)
+    h = cyclic_hadamard_matrix(degree)
     return PhaseSequenceSet(h[:u].astype(complex), kind="cyclic-hadamard")
 
 
 def gen_random_pss(
-    cfg: SystemConfig,
-    u: int,
-    rng: np.random.Generator,
-    alphabet: str = "quaternary",
-    force_first_all_ones: bool = False,
+    cfg: SystemConfig, u: int, rng: np.random.Generator, alphabet: str = "quaternary"
 ) -> PhaseSequenceSet:
     """i.i.d. random phase sequences: binary +-1, quaternary +-1/+-j, or continuous phase."""
     n = cfg.n_fft
@@ -157,8 +161,6 @@ def gen_random_pss(
         seq = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (u, n)))
     else:
         raise ValueError(f"unknown alphabet {alphabet!r}")
-    if force_first_all_ones:
-        seq[0] = 1.0
     return PhaseSequenceSet(seq, kind="random")
 
 
@@ -181,10 +183,12 @@ class PermutationSet:
     kind: str = "explicit"
 
     def __post_init__(self):
-        perms = np.atleast_2d(np.asarray(self.perms, dtype=np.intp))
-        object.__setattr__(self, "perms", perms)
-        if perms.ndim != 2 or np.any(np.sort(perms, axis=1) != np.arange(perms.shape[1])):
+        rows = np.atleast_2d(np.asarray(self.perms))
+        # checked before the cast, so that an entry such as 2.5 or "2" is refused
+        numeric = rows.ndim == 2 and rows.dtype.kind in "iuf"
+        if not numeric or np.any(np.sort(rows, axis=1) != np.arange(rows.shape[1])):
             raise ValueError("each row must be a permutation of 0..n_fft-1")
+        object.__setattr__(self, "perms", rows.astype(np.intp, copy=False))
 
     @property
     def u(self) -> int:
@@ -205,18 +209,12 @@ class PermutationSet:
 
 
 def gen_perm_set(
-    cfg: SystemConfig,
-    u: int,
-    kind: str = "random",
-    rng: np.random.Generator | None = None,
-    explicit=None,
-    force_identity_first: bool = False,
+    cfg: SystemConfig, u: int, kind: str = "random", rng: np.random.Generator | None = None
 ) -> PermutationSet:
     """Build a permutation set.
 
     random:   each row permutes every group's rows independently and uniformly
-    identity: all rows are the identity
-    explicit: validate the given list of index arrays
+    identity: all rows are the identity (draws nothing)
     """
     N, n, G = cfg.n_fft, cfg.group_size, cfg.num_groups
     if kind == "identity":
@@ -229,15 +227,6 @@ def gen_perm_set(
             for g in range(G):
                 members = np.arange(n, dtype=np.intp) * G + g
                 perms[i, members] = members[rng.permutation(n)]
-        if force_identity_first:
-            perms[0] = np.arange(N, dtype=np.intp)
-    elif kind == "explicit":
-        if explicit is None:
-            raise ValueError("explicit permutation set needs the index arrays")
-        perms = PermutationSet(np.array(explicit), kind=kind).check(cfg)
-        if perms.u != u:
-            raise ValueError(f"expected {u} permutations, got {perms.u}")
-        return perms
     else:
         raise ValueError(f"unknown permutation kind {kind!r}")
     return PermutationSet(perms, kind=kind)
@@ -385,7 +374,8 @@ def pss_to_json(pss: PhaseSequenceSet) -> dict:
 
 def pss_from_json(doc: dict) -> PhaseSequenceSet:
     phases = np.array(doc["phases"], dtype=float)
-    return PhaseSequenceSet(np.exp(1j * phases), kind=doc.get("kind", "explicit"))
+    with np.errstate(invalid="ignore"):  # an infinite phase gives NaN, refused as not unit modulus
+        return PhaseSequenceSet(np.exp(1j * phases), kind=doc.get("kind", "explicit"))
 
 
 def perm_set_to_json(perms: PermutationSet) -> dict:

@@ -5,13 +5,14 @@ import os
 import resource
 import tempfile
 import traceback
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdm_im_slm import __version__, ccdf, cli, gen_perm_set, gen_random_pss, SystemConfig
+from ofdm_im_slm import __version__, analysis, ccdf, cli, gen_perm_set, gen_random_pss, SystemConfig
 from ofdm_im_slm.cli import main
 from ofdm_im_slm.slm import perm_set_to_json, pss_to_json
 
@@ -506,6 +507,158 @@ def test_verify_var_rho_zero_trials_exit_2(tmp_path, capsys):
 def test_verify_var_rho_bad_m_values():
     rc = run_cli(["verify-var-rho", *BASE, "--trials", "100", "--m-values", "1,99"])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# input files: one loader for the five file flags
+
+HALF_STEPS = {"perms": [[i + 0.5 for i in range(64)]] * 2}  # int() would make these the identity
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["ccdf", "--pss"], {}),
+    (["ccdf", "--pss"], []),
+    (["ccdf", "--perm"], []),
+    (["analyze-pss", "--pss-file"], []),
+    (["ccdf", "--u", "2", "--perm"], HALF_STEPS),
+    (["analyze-perm", "--perm-file"], HALF_STEPS),
+    (["analyze-pss", "--sap-file"], {"groups": [[0.5, 3.7]] + [[0, 1]] * 3}),
+    (["analyze-pss", "--sap-file"], {"groups": [["1", "3"]] + [[0, 1]] * 3}),
+])
+def test_malformed_input_file_exit_2(tmp_path, capsys, argv, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "x.out")]
+    if argv[0] == "ccdf":
+        out = ["--trials", "10", "--out", str(tmp_path / "x")]
+    rc = run_cli([argv[0], *BASE, *argv[1:], str(path), *out])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: malformed ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+@needs_fork_and_statm
+@pytest.mark.parametrize("argv", [
+    ["ccdf", "--u", "2", "--trials", "1", "--out"],
+    ["analyze-pss", "--u", "2", "--out"],
+])
+def test_large_phase_sequence_set_within_the_memory_cap(tmp_path, argv):
+    # 2 x 2^18 phase values, within the array cap: a row check that sorted
+    # 2N keys of U values each needed about 170x the set's 8 MiB
+    rc, err = run_cli_capped([argv[0], "--n-fft", "262144", *argv[1:], str(tmp_path / "x")])
+    assert rc == 0, err
+
+
+CFG8 = SystemConfig(n_fft=8, group_size=4, active=2, mod_order=4)
+BASE8 = ["--n-fft", "8", "--group-size", "4", "--active", "2", "--mod-order", "4"]
+_rng = np.random.default_rng(0)
+# flag -> (arguments before the file, a valid document, the output name)
+FILE_FLAGS = {
+    "ccdf --pss": (["ccdf", *BASE8, "--u", "2", "--trials", "2", "--pss"],
+                   pss_to_json(gen_random_pss(CFG8, 2, _rng)), "run"),
+    "ccdf --perm": (["ccdf", *BASE8, "--u", "2", "--trials", "2", "--perm"],
+                    perm_set_to_json(gen_perm_set(CFG8, 2, "random", _rng)), "run"),
+    "analyze-perm --perm-file": (["analyze-perm", *BASE8, "--perm-file"],
+                                 perm_set_to_json(gen_perm_set(CFG8, 3, "random", _rng)), "mu.json"),
+    "analyze-pss --pss-file": (["analyze-pss", *BASE8, "--pss-file"],
+                               pss_to_json(gen_random_pss(CFG8, 2, _rng)), "spec.csv"),
+    "analyze-pss --sap-file": (["analyze-pss", *BASE8, "--sap-file"], {"groups": [[0, 1], [1, 3]]}, "spec.csv"),
+}
+JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+             | st.integers(-1, 8) | st.sampled_from([0.5, 1.0, "1", 1e300, 10**30]))
+JSON = st.recursive(JSON_LEAF, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=10)
+
+
+@st.composite
+def near_valid(draw, doc):
+    """``doc`` with one key dropped or renamed, or one value, row or entry replaced."""
+    doc = json.loads(json.dumps(doc))
+    key = draw(st.sampled_from(sorted(doc)))
+    how = draw(st.sampled_from(["drop", "rename", "value", "row", "entry"]))
+    if how in ("drop", "rename"):
+        value = doc.pop(key)
+        if how == "rename":
+            doc[key + "s"] = value
+    elif how == "value" or not isinstance(doc[key], list):
+        doc[key] = draw(JSON)
+    else:
+        rows = doc[key]
+        i = draw(st.integers(0, len(rows) - 1))
+        if how == "row":
+            rows[i] = draw(JSON)
+        else:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(JSON_LEAF)
+    return doc
+
+
+def run_quietly(argv):
+    """(exit code, stderr) of ``main(argv)``; a warning counts as an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("flag", sorted(FILE_FLAGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_input_file_ends_cleanly(flag, data):
+    """Any small JSON document, or a valid one with one key or entry wrong,
+    gives exit 0 with the output, or exit 2 with one stderr line and none."""
+    head, valid, name = FILE_FLAGS[flag]
+    doc = data.draw(JSON | near_valid(valid), label="doc")
+    with tempfile.TemporaryDirectory() as root:
+        path, outdir = os.path.join(root, "in.json"), os.path.join(root, "out")
+        os.mkdir(outdir)
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        rc, err = run_quietly([*head, path, "--out", os.path.join(outdir, name)])
+        left = os.listdir(outdir)
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert left == []
+    else:
+        assert left
+
+
+def just_above_the_analysis_cap(command: str, knob: str, n_fft: int, u: int, trials: int) -> dict:
+    """The least --u or --n-fft that takes the command's largest array over
+    ccdf.MAX_PLAN_ELEMENTS: the N x N mu grid or the U x N drawn set of
+    analyze-perm, the U x N set of analyze-pss, one chunk of verify-var-rho."""
+    cap = ccdf.MAX_PLAN_ELEMENTS
+    rows = {"analyze-perm": lambda n: max(u, n), "analyze-pss": lambda n: u,
+            "verify-var-rho": lambda n: min(trials, analysis.VAR_RHO_CHUNK)}[command]
+    if knob == "--u":
+        return {"--u": str(cap // n_fft + 1)}
+    while rows(n_fft) * n_fft <= cap:
+        n_fft *= 2
+    return {"--n-fft": str(n_fft)}
+
+
+@needs_fork_and_statm
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(["analyze-perm", "analyze-pss", "verify-var-rho"]), data=st.data())
+def test_analysis_command_just_above_its_cap_exit_2(command, data):
+    n_fft = data.draw(st.sampled_from([8, 16, 32, 64]), label="n_fft")
+    group_size = data.draw(st.sampled_from([g for g in (2, 4, 8) if g <= n_fft]), label="group_size")
+    u = data.draw(st.integers(1, 4), label="u")
+    trials = data.draw(st.sampled_from([1, 2, 20000, 10**9]), label="trials")
+    knobs = ["--n-fft"] if command == "verify-var-rho" else ["--u", "--n-fft"]
+    knob = data.draw(st.sampled_from(knobs), label="knob")
+    opts = {"--n-fft": str(n_fft), "--group-size": str(group_size),
+            "--active": str(data.draw(st.integers(1, group_size - 1), label="active"))}
+    opts.update({"--trials": str(trials)} if command == "verify-var-rho" else {"--u": str(u)})
+    opts.update(just_above_the_analysis_cap(command, knob, n_fft, u, trials))
+    with tempfile.TemporaryDirectory() as root:
+        argv = [command, *(x for item in opts.items() for x in item), "--out", os.path.join(root, "x.out")]
+        rc, err = run_cli_capped(argv)
+        left = os.listdir(root)
+    assert rc == 2, err
+    assert err.startswith("error: invalid run: ") and err.count("\n") == 1
+    assert left == []
 
 
 # ---------------------------------------------------------------------------

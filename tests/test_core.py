@@ -296,6 +296,18 @@ def test_sap_equality_hash_and_pickle():
         GroupSap((2, 2))
 
 
+@pytest.mark.parametrize("rows", [(0.5, 3.7), ("1", "3"), (1, float("nan")), (0, float("inf"))])
+def test_group_sap_rejects_non_integer_rows(rows):
+    # int() would turn (0.5, 3.7) into (0, 3) and accept ("1", "3")
+    with pytest.raises(ValueError, match="integers"):
+        GroupSap(rows)
+
+
+def test_group_sap_takes_integral_values():
+    assert GroupSap((1.0, np.int64(3))).rows == (1, 3)
+    assert GroupSap(r for r in (0, 2)).rows == (0, 2)
+
+
 @pytest.mark.parametrize(
     "n_fft,group_size,active",
     [(16, 4, k) for k in (1, 2, 3)] + [(64, 16, k) for k in range(1, 16)] + [(32, 8, 5)],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,12 +140,6 @@ def test_gen_random_pss_alphabets():
         gen_random_pss(CFG, 2, rng, alphabet="octal")
 
 
-def test_gen_random_pss_force_all_ones():
-    rng = np.random.default_rng(2)
-    pss = gen_random_pss(CFG, 2, rng, force_first_all_ones=True)
-    assert np.array_equal(pss.sequences[0], np.ones(64))
-
-
 def test_random_quaternary_pair_below_flat_bound():
     # punctured spectrum of a random pair stays below the all-equal bound K/N
     rng = np.random.default_rng(3)
@@ -169,6 +165,36 @@ def test_pss_validation():
     rows[3] = rows[1]  # a non-adjacent duplicate
     with pytest.raises(ValueError, match="identical"):
         PhaseSequenceSet(rows)
+
+
+def test_pss_identical_rows_include_signed_zeros():
+    # -0.0 == 0.0, so rows that differ only in the sign of a zero are identical
+    row = np.array([1 + 0j, 1j, -1 + 0j, -1j])
+    signed = np.array([complex(1, -0.0), complex(-0.0, 1), complex(-1, -0.0), complex(-0.0, -1)])
+    with pytest.raises(ValueError, match="identical"):
+        PhaseSequenceSet(np.vstack([row, signed]))
+    assert PhaseSequenceSet(np.vstack([row, -row])).u == 2
+
+
+def test_pss_row_check_memory_is_a_small_multiple_of_the_set():
+    # a 2 x 2^16 set; a sort over 2N keys of U values each peaked near 170x its bytes
+    rows = np.exp(1j * np.pi / 2 * np.random.default_rng(2).integers(0, 4, (2, 1 << 16)))
+    tracemalloc.start()
+    try:
+        PhaseSequenceSet(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rows.nbytes
+
+
+def test_pss_check_against_config():
+    pss = gen_random_pss(CFG8, 2, np.random.default_rng(3))
+    assert pss.check(CFG8) is pss
+    with pytest.raises(ValueError, match="length 8 is not n_fft=64"):
+        pss.check(CFG)
+    with pytest.raises(ValueError, match="2-D"):
+        PhaseSequenceSet(np.ones((2, 4, 8), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +223,19 @@ def test_explicit_perm_closure_violation_rejected():
     d = np.arange(64)
     d[0], d[1] = 1, 0  # swaps residues 0 and 1 mod G=4
     with pytest.raises(ValueError, match="residue"):
-        gen_perm_set(CFG, 1, "explicit", explicit=[d])
+        PermutationSet(d).check(CFG)
     with pytest.raises(ValueError, match="permutation"):
         PermutationSet(np.zeros(64, dtype=int)).check(CFG)
+
+
+def test_permutation_set_rejects_non_integer_entries():
+    # a cast to int would turn each of these into the identity
+    for bad in (np.arange(64) + 0.5, [str(i) for i in range(64)], [np.nan] * 64):
+        with pytest.raises(ValueError, match="permutation"):
+            PermutationSet(bad)
+        with pytest.raises(ValueError, match="permutation"):
+            perm_set_from_json({"perms": [list(bad)]}, CFG)
+    assert np.array_equal(PermutationSet(np.arange(64.0)).perms, [np.arange(64)])
 
 
 def test_permutation_set_rejects_any_non_bijective_row():
@@ -209,12 +245,6 @@ def test_permutation_set_rejects_any_non_bijective_row():
         PermutationSet(perms)
     with pytest.raises(ValueError, match="length"):
         PermutationSet(np.tile(np.arange(8), (2, 1))).check(CFG)
-
-
-def test_force_identity_first():
-    rng = np.random.default_rng(5)
-    perms = gen_perm_set(CFG, 3, "random", rng, force_identity_first=True)
-    assert np.array_equal(perms.perms[0], np.arange(64))
 
 
 def test_apply_permutation_identity_and_inverse():
@@ -290,7 +320,9 @@ def test_slm_never_worse_than_first_branch():
     rng = np.random.default_rng(12)
     pss_rows = np.vstack([np.ones(64), gen_random_pss(CFG, 3, rng).sequences])
     pss = PhaseSequenceSet(pss_rows, kind="explicit")
-    perms = gen_perm_set(CFG, 4, "random", rng, force_identity_first=True)
+    rows = gen_perm_set(CFG, 4, "random", rng).perms
+    rows[0] = np.arange(64)
+    perms = PermutationSet(rows)
     for seed in range(10):
         block, _ = random_block(CFG, seed=100 + seed)
         baseline = papr_db(idft(block), CFG)
