@@ -19,19 +19,29 @@ from .core import Sap, SystemConfig, draw_active_positions
 from .slm import PermutationSet, PhaseSequenceSet
 
 
-def _active_indices(sap) -> np.ndarray:
-    if isinstance(sap, Sap):
-        return sap.active_array()
-    return np.asarray(sorted(int(i) for i in sap), dtype=np.intp)
+def _active_indices(sap, n: int) -> np.ndarray:
+    """Sorted indices of a Sap or of a collection of active indices in 0..n-1.
+
+    An entry that repeats, lies outside 0..n-1 or differs from its integer
+    value (2.5, "2") raises ValueError.
+    """
+    given = tuple(sap.active if isinstance(sap, Sap) else sap)
+    try:
+        active = tuple(int(i) for i in given)
+    except (OverflowError, TypeError, ValueError):  # an entry with no integer value: inf, NaN, "a"
+        active = None
+    if active != given or len(set(active)) != len(active) or not all(0 <= i < n for i in active):
+        raise ValueError(f"active indices must be distinct integer values in 0..{n - 1}")
+    return np.asarray(sorted(active), dtype=np.intp)
 
 
 def rho_profile(sap, cfg: SystemConfig) -> np.ndarray:
     """Correlation coefficients rho(m), m = 0..N-1, for one activation pattern.
 
-    ``sap`` may be a Sap or any collection of active indices; rho(0) is 1
-    by construction.
+    ``sap`` may be a Sap or any collection of distinct active indices in
+    0..N-1; rho(0) is 1 by construction.
     """
-    active = _active_indices(sap)
+    active = _active_indices(sap, cfg.n_fft)
     alpha = np.zeros(cfg.n_fft)
     alpha[active] = 1.0
     # numpy fft applies exp(-j*2*pi*i*m/N), exactly the sign wanted here
@@ -60,34 +70,51 @@ def var_rho_empirical(cfg: SystemConfig, m: int, trials: int, rng: np.random.Gen
     return float(np.mean(np.abs(rho) ** 2) - np.abs(np.mean(rho)) ** 2)
 
 
-# patterns per chunk of var_rho_empirical_profile, each a row of N complex values
+# patterns per chunk of var_rho_empirical_profile: the draw of one chunk is one
+# draw_active_positions call, so the chunk size is part of the stream
 VAR_RHO_CHUNK = 20000
+# complex values per tile that a chunk's patterns are transformed in
+_VAR_RHO_TILE = 1 << 16
 
 
 def var_rho_empirical_profile(
     cfg: SystemConfig, trials: int, rng: np.random.Generator, chunk: int = VAR_RHO_CHUNK
 ) -> np.ndarray:
-    """Empirical variance of rho(m) for every lag m at once (chunked FFT)."""
+    """Empirical variance of rho(m) for every lag m at once (chunked FFT).
+
+    Each chunk's patterns go through tiles of about _VAR_RHO_TILE values.
+    Row 0 of both tile buffers carries the chunk's running sums, so each
+    sum over [carry, tile rows] adds row by row, in the order of one sum
+    over the whole chunk.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     N = cfg.n_fft
+    tile = min(max(1, _VAR_RHO_TILE // N), chunk, trials)
+    rho = np.empty((tile + 1, N), dtype=complex)
+    abs2 = np.empty((tile + 1, N))
     acc_abs2 = np.zeros(N)
     acc_mean = np.zeros(N, dtype=complex)
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
         pos = draw_active_positions(cfg, b, rng)
-        # one (b, N) complex array transformed in place, plus its magnitudes
-        rho = np.zeros((b, N), dtype=complex)
-        np.put_along_axis(rho, pos, 1.0, axis=1)
-        np.fft.fft(rho, axis=1, out=rho)
-        rho /= cfg.total_active
-        acc_mean += np.sum(rho, axis=0)
-        abs2 = np.abs(rho)
-        np.square(abs2, out=abs2)
-        acc_abs2 += np.sum(abs2, axis=0)
-        # free this chunk's arrays before the next one is drawn
-        del rho, abs2
+        rho[0] = 0.0
+        abs2[0] = 0.0
+        for t0 in range(0, b, tile):
+            r = min(tile, b - t0)
+            rows, mags = rho[1 : r + 1], abs2[1 : r + 1]
+            rows[...] = 0.0
+            np.put_along_axis(rows, pos[t0 : t0 + r], 1.0, axis=1)
+            np.fft.fft(rows, axis=1, out=rows)
+            rows /= cfg.total_active
+            rho[0] = np.sum(rho[: r + 1], axis=0)
+            np.abs(rows, out=mags)
+            np.square(mags, out=mags)
+            abs2[0] = np.sum(abs2[: r + 1], axis=0)
+        acc_mean += rho[0]
+        acc_abs2 += abs2[0]
+        del pos  # before the next chunk is drawn
         done += b
     return acc_abs2 / trials - np.abs(acc_mean / trials) ** 2
 
@@ -121,7 +148,7 @@ def punctured_spectrum(p1: np.ndarray, p2: np.ndarray, sap=None) -> PssSpectrum:
     c = float(np.max(full))
     if sap is None:
         return PssSpectrum(full, c=c, punctured=False)
-    active = _active_indices(sap)
+    active = _active_indices(sap, len(p1))
     masked = np.zeros_like(q)
     masked[active] = q[active]
     return PssSpectrum(np.abs(np.fft.ifft(masked)), c=c, punctured=True)

@@ -263,18 +263,32 @@ def map_bits_to_group(bits, cfg: SystemConfig, cs: Constellation):
     return gsaps[0], cs.symbols[symbols]
 
 
+# rows of n per in-place shuffle call of draw_active_positions (at least one group's trials)
+_SHUFFLE_ROWS = 4096
+
+
 def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
     """(trials, K) active subcarrier indices, uniform over all C(n,k)^G patterns.
 
     Columns run group by group, sorted rows within each group; group g draws
-    one row-wise shuffle of all trials before group g+1.
+    one row-wise shuffle of all trials before group g+1. Several groups'
+    rows, group-major, share one in-place shuffle call when trials is small:
+    the same stream as one call per group.
     """
     n, k, G = cfg.group_size, cfg.active, cfg.num_groups
-    cols = []
-    for g in range(G):
-        rows = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)[:, :k]
-        cols.append(np.sort(rows, axis=1) * G + g)
-    return np.concatenate(cols, axis=1)
+    per_call = min(G, max(1, _SHUFFLE_ROWS // max(trials, 1)))
+    out = np.empty((trials, G, k), dtype=np.intp)
+    buf = np.empty((per_call * trials, n), dtype=np.intp)
+    for g0 in range(0, G, per_call):
+        gc = min(per_call, G - g0)
+        rows = buf[: gc * trials]
+        rows[...] = np.arange(n)
+        rng.permuted(rows, axis=1, out=rows)
+        picks = np.sort(rows[:, :k], axis=1).reshape(gc, trials, k).transpose(1, 0, 2)
+        dest = out[:, g0 : g0 + gc]
+        np.multiply(picks, G, out=dest)
+        dest += np.arange(g0, g0 + gc)[:, None]
+    return out.reshape(trials, G * k)
 
 
 def sample_random_sap(cfg: SystemConfig, rng: np.random.Generator) -> Sap:

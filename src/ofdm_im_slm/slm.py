@@ -222,11 +222,11 @@ def gen_perm_set(
     elif kind == "random":
         if rng is None:
             raise ValueError("random permutation set needs an rng")
-        perms = np.empty((u, N), dtype=np.intp)
-        for i in range(u):
-            for g in range(G):
-                members = np.arange(n, dtype=np.intp) * G + g
-                perms[i, members] = members[rng.permutation(n)]
+        # one in-place shuffle of all (row, group) pairs, row-major: the stream
+        # of one rng.permutation(n) per pair; row r of group g is index G*r + g
+        shuffled = np.tile(np.arange(n, dtype=np.intp), (u * G, 1))
+        rng.permuted(shuffled, axis=1, out=shuffled)
+        perms = (shuffled.reshape(u, G, n).transpose(0, 2, 1) * G + np.arange(G)).reshape(u, N)
     else:
         raise ValueError(f"unknown permutation kind {kind!r}")
     return PermutationSet(perms, kind=kind)
@@ -368,7 +368,7 @@ def pss_to_json(pss: PhaseSequenceSet) -> dict:
     return {
         "kind": pss.kind,
         "n_fft": pss.n_fft,
-        "phases": [[float(p) for p in np.angle(row)] for row in pss.sequences],
+        "phases": np.angle(pss.sequences).tolist(),
     }
 
 
@@ -379,7 +379,7 @@ def pss_from_json(doc: dict) -> PhaseSequenceSet:
 
 
 def perm_set_to_json(perms: PermutationSet) -> dict:
-    return {"kind": perms.kind, "perms": [[int(i) for i in row] for row in perms.perms]}
+    return {"kind": perms.kind, "perms": perms.perms.tolist()}
 
 
 def perm_set_from_json(doc: dict, cfg: SystemConfig) -> PermutationSet:

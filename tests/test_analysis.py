@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,26 @@ def test_rho_interleaved_example_direct_sum():
     for m in range(8):
         direct = sum(np.exp(-2j * np.pi * i * m / 8) for i in (1, 2, 3, 6)) / 4
         assert abs(rho[m] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [[3, 3], [-1], [64], [2.5], ["2"], [float("nan")], [1, 70]],
+                         ids=["duplicate", "negative", "past-end", "fraction", "string", "nan", "one-past-end"])
+def test_rho_profile_and_punctured_spectrum_refuse_bad_indices(bad):
+    with pytest.raises(ValueError, match="distinct integer values in 0..63"):
+        rho_profile(bad, CFG)
+    p = np.ones(64, dtype=complex)
+    with pytest.raises(ValueError, match="distinct integer values in 0..63"):
+        punctured_spectrum(p, p, bad)
+
+
+def test_index_collections_keep_their_results():
+    # any order, numpy integers and integral floats give the Sap's result
+    as_sap = rho_profile(FIG1_SAP, CFG8)
+    for indices in ([6, 1, 3, 2], np.array([1, 2, 3, 6]), [1.0, 2.0, 3.0, 6.0], (1, 2, 3, 6)):
+        assert np.array_equal(rho_profile(indices, CFG8), as_sap)
+    p = gen_random_pss(CFG8, 1, np.random.default_rng(1)).sequences[0]
+    assert np.array_equal(punctured_spectrum(p, p, [6, 1, 3, 2]).magnitudes,
+                          punctured_spectrum(p, p, FIG1_SAP).magnitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +131,49 @@ def test_var_rho_profile_equals_out_of_place_expression():
         acc_abs2 += np.sum(np.abs(rho) ** 2, axis=0)
         acc_mean += np.sum(rho, axis=0)
     assert np.array_equal(profile, acc_abs2 / 15000 - np.abs(acc_mean / 15000) ** 2)
+
+
+def var_rho_profile_oracle(cfg, trials, rng, chunk):
+    """The profile with each chunk as one (b, N) array, transformed out of place."""
+    N = cfg.n_fft
+    acc_abs2, acc_mean = np.zeros(N), np.zeros(N, dtype=complex)
+    for start in range(0, trials, chunk):
+        b = min(chunk, trials - start)
+        alpha = np.zeros((b, N))
+        np.put_along_axis(alpha, draw_active_positions(cfg, b, rng), 1.0, axis=1)
+        rho = np.fft.fft(alpha, axis=1) / cfg.total_active
+        acc_abs2 += np.sum(np.abs(rho) ** 2, axis=0)
+        acc_mean += np.sum(rho, axis=0)
+    return acc_abs2 / trials - np.abs(acc_mean / trials) ** 2
+
+
+@pytest.mark.parametrize("cfg,trials,chunk", [
+    # tiles of 1024 rows at N = 64: 2500 = 1024 + 1024 + 452, chunks 2500 + 2500 + 1
+    (CFG, 5001, 2500),
+    (CFG, 1, 20000),
+    (CFG8, 999, 20000),
+    # tiles of 256 rows at N = 256: a chunk of 700 ends in a partial tile
+    (SystemConfig(n_fft=256, group_size=16, active=3, mod_order=4), 1401, 700),
+    # a tile of one row at N = 2^17
+    (SystemConfig(n_fft=1 << 17, group_size=4, active=1, mod_order=4), 3, 2),
+], ids=["N64", "N64-one-trial", "N8", "N256", "N131072"])
+def test_var_rho_profile_equals_one_array_per_chunk(cfg, trials, chunk):
+    a, b = np.random.default_rng(trials), np.random.default_rng(trials)
+    profile = var_rho_empirical_profile(cfg, trials, a, chunk=chunk)
+    assert np.array_equal(profile, var_rho_profile_oracle(cfg, trials, b, chunk))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_var_rho_profile_memory_is_bounded_by_the_tile():
+    # one chunk of 20000 patterns at N = 64 is 20 MB as one complex array
+    # plus 10 MB of magnitudes; the tiles keep the draw and about 1.5 MB
+    tracemalloc.start()
+    try:
+        var_rho_empirical_profile(CFG, 20000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_var_rho_empirical_rejects_bad_trials():

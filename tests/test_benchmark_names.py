@@ -6,6 +6,7 @@ own smoke test is slow and sits outside the default test paths; this test
 catches such a removal in the tier-1 suite.
 """
 
+import ast
 import importlib
 import inspect
 import re
@@ -23,10 +24,10 @@ for _module in MODULES:
 # lib.<name>... on the package, or <module>.<name>... on one of its modules
 DOTTED = re.compile(rf"\b(?:lib|{'|'.join(MODULES)})(?:\.[A-Za-z_]\w*)+")
 
-# names the benchmark's tracer wraps and counts: the CLI's run, the one
-# generator-set build per CLI call, and the generators that build calls
-TRACED = ("ccdf.instantiate_scheme", "ccdf.gen_hadamard_pss", "ccdf.gen_random_pss",
-          "ccdf.gen_perm_set", "cli.run_ccdf")
+# wrapped names that the package no longer has: the tracer skips them. The
+# transforms' spans read 0 until the benchmark stops listing them; the
+# scheme build is still traced under its ccdf name
+GONE_PATCH_TARGETS = {"ccdf.idft", "ccdf.oversampled_idft", "slm.idft", "cli.instantiate_scheme"}
 
 
 def names_read(filename: str) -> list:
@@ -41,14 +42,49 @@ def resolve(dotted: str):
     return obj
 
 
+def resolves(dotted: str) -> bool:
+    try:
+        resolve(dotted)
+    except AttributeError:
+        return False
+    return True
+
+
+def patch_targets() -> list:
+    """<module>.<name> of each entry of PATCH_TARGETS in perfbench/spans.py,
+    the names the benchmark's tracer wraps, read without importing it."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "PATCH_TARGETS" for t in node.targets):
+            return sorted({f"{module}.{name}" for module, name, _ in ast.literal_eval(node.value)})
+    raise AssertionError("no PATCH_TARGETS assignment in perfbench/spans.py")
+
+
+def missing(dotted_names) -> set:
+    return {dotted for dotted in dotted_names if not resolves(dotted)}
+
+
+TRACED = [name for name in patch_targets() if name not in GONE_PATCH_TARGETS]
+
+
 def test_the_scan_finds_the_names_in_use():
     assert "lib.instantiate_scheme" in names_read("setup_probe.py")
     assert "slm.slm_select" in names_read("workloads.py")
 
 
-@pytest.mark.parametrize("dotted", names_read("workloads.py") + names_read("setup_probe.py") + list(TRACED))
+@pytest.mark.parametrize("dotted", sorted(set(names_read("workloads.py") + names_read("setup_probe.py") + TRACED)))
 def test_benchmark_name_exists(dotted):
     resolve(dotted)
+
+
+def test_only_the_known_patch_targets_are_gone():
+    assert "cli.var_rho_empirical_profile" in TRACED
+    assert missing(patch_targets()) == GONE_PATCH_TARGETS
+
+
+def test_a_renamed_traced_name_is_reported(monkeypatch):
+    monkeypatch.delattr(ofdm_im_slm.cli, "var_rho_empirical_profile")
+    assert missing(patch_targets()) == GONE_PATCH_TARGETS | {"cli.var_rho_empirical_profile"}
 
 
 # (name, positional arguments, keywords) of each call that perfbench/workloads.py

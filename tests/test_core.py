@@ -359,6 +359,34 @@ def test_sample_random_sap_is_one_row_of_the_batch_sampler():
         assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
 
 
+def draw_active_positions_oracle(cfg, trials, rng):
+    """The sampler as one np.tile, one rng.permuted and one sort per group."""
+    n, k, G = cfg.group_size, cfg.active, cfg.num_groups
+    cols = []
+    for g in range(G):
+        rows = rng.permuted(np.tile(np.arange(n), (trials, 1)), axis=1)[:, :k]
+        cols.append(np.sort(rows, axis=1) * G + g)
+    return np.concatenate(cols, axis=1)
+
+
+@pytest.mark.parametrize("cfg,trials", [
+    (CFG, 1), (CFG, 7), (CFG, 4096), (CFG, 4097), (CFG8, 300),
+    (SystemConfig(n_fft=64, group_size=16, active=14, mod_order=4), 50),
+    # more groups than fit in one shuffle call: 512 groups at 455 per call
+    (SystemConfig(n_fft=1024, group_size=2, active=1, mod_order=4), 9),
+    # 8192 groups of one trial: two calls of 4096
+    (SystemConfig(n_fft=16384, group_size=2, active=1, mod_order=4), 1),
+], ids=lambda v: str(v) if isinstance(v, int) else f"N{v.n_fft}n{v.group_size}k{v.active}")
+def test_draw_active_positions_equals_one_shuffle_per_group(cfg, trials):
+    a, b = np.random.default_rng(trials), np.random.default_rng(trials)
+    got = draw_active_positions(cfg, trials, a)
+    want = draw_active_positions_oracle(cfg, trials, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the generator is left in the same state, so the next draw agrees too
+    assert np.array_equal(draw_active_positions(cfg, 3, a), draw_active_positions_oracle(cfg, 3, b))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_sample_random_sap_marginals():
     # Pr{index i active} -> k/n within 3 sigma at 1e5 draws (seeded)
     rng = np.random.default_rng(41)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -444,6 +445,35 @@ def test_slm_size_mismatch():
         slm_select(block, all_ones_pss(CFG), gen_perm_set(CFG, 2, "identity"), CFG)
 
 
+def gen_perm_set_oracle(cfg, u, rng):
+    """Random permutation rows as one rng.permutation(n) per (row, group)."""
+    N, n, G = cfg.n_fft, cfg.group_size, cfg.num_groups
+    perms = np.empty((u, N), dtype=np.intp)
+    for i in range(u):
+        for g in range(G):
+            members = np.arange(n, dtype=np.intp) * G + g
+            perms[i, members] = members[rng.permutation(n)]
+    return perms
+
+
+@pytest.mark.parametrize("u,n_fft,groups", [(4, 64, 4), (3, 256, 16), (2, 16, 8), (5, 64, 32), (1, 64, 1)])
+def test_gen_perm_random_equals_one_permutation_per_group(u, n_fft, groups):
+    cfg = SystemConfig(n_fft=n_fft, group_size=n_fft // groups, active=1, mod_order=4)
+    a, b = np.random.default_rng(u * n_fft), np.random.default_rng(u * n_fft)
+    got = gen_perm_set(cfg, u, "random", a).perms
+    want = gen_perm_set_oracle(cfg, u, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(gen_perm_set(cfg, 2, "random", a).perms, gen_perm_set_oracle(cfg, 2, b))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_gen_perm_identity_draws_nothing():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    gen_perm_set(CFG, 4, "identity", rng)
+    assert rng.bit_generator.state == before
+
+
 # ---------------------------------------------------------------------------
 # JSON round trips
 
@@ -460,6 +490,20 @@ def test_pss_json_roundtrip_hadamard():
     restored = pss_from_json(pss_to_json(pss))
     # +-1 entries survive the radian encoding to float precision
     assert np.max(np.abs(restored.sequences - pss.sequences)) < 1e-12
+
+
+def test_set_json_text_is_the_element_by_element_encoding():
+    # the plan fingerprints hash this text, so the lists must print as the
+    # per-element float() and int() conversions did
+    rng = np.random.default_rng(16)
+    cfg = SystemConfig(n_fft=256, group_size=16, active=2, mod_order=4)
+    pss = gen_random_pss(cfg, 3, rng, alphabet="continuous")
+    perms = gen_perm_set(cfg, 3, "random", rng)
+    pss_doc = {"kind": pss.kind, "n_fft": pss.n_fft,
+               "phases": [[float(p) for p in np.angle(row)] for row in pss.sequences]}
+    perm_doc = {"kind": perms.kind, "perms": [[int(i) for i in row] for row in perms.perms]}
+    assert json.dumps(pss_to_json(pss)) == json.dumps(pss_doc)
+    assert json.dumps(perm_set_to_json(perms)) == json.dumps(perm_doc)
 
 
 def test_perm_json_roundtrip_and_validation():
