@@ -38,10 +38,12 @@ def _active_indices(sap, n: int) -> np.ndarray:
 def rho_profile(sap, cfg: SystemConfig) -> np.ndarray:
     """Correlation coefficients rho(m), m = 0..N-1, for one activation pattern.
 
-    ``sap`` may be a Sap or any collection of distinct active indices in
-    0..N-1; rho(0) is 1 by construction.
+    ``sap`` may be a Sap or any non-empty collection of distinct active
+    indices in 0..N-1; rho(0) is 1 by construction.
     """
     active = _active_indices(sap, cfg.n_fft)
+    if active.size == 0:
+        raise ValueError("rho needs at least one active index")
     alpha = np.zeros(cfg.n_fft)
     alpha[active] = 1.0
     # numpy fft applies exp(-j*2*pi*i*m/N), exactly the sign wanted here
@@ -86,6 +88,11 @@ def var_rho_empirical_profile(
     Row 0 of both tile buffers carries the chunk's running sums, so each
     sum over [carry, tile rows] adds row by row, in the order of one sum
     over the whole chunk.
+
+    The 1/K scale multiplies the float view by fl(1/K), which is what
+    numpy's division of a complex array by a real K computes, at a fraction
+    of its cost; a float ``/ K`` would differ in the last bit when K is not
+    a power of two.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -93,6 +100,10 @@ def var_rho_empirical_profile(
     tile = min(max(1, _VAR_RHO_TILE // N), chunk, trials)
     rho = np.empty((tile + 1, N), dtype=complex)
     abs2 = np.empty((tile + 1, N))
+    flat, re_im = rho.reshape(-1), rho.view(float)
+    # flat index of column 0 of tile row i, which is buffer row i + 1
+    row_start = np.arange(N, (tile + 1) * N, N)[:, None]
+    scale = 1.0 / cfg.total_active
     acc_abs2 = np.zeros(N)
     acc_mean = np.zeros(N, dtype=complex)
     done = 0
@@ -105,9 +116,9 @@ def var_rho_empirical_profile(
             r = min(tile, b - t0)
             rows, mags = rho[1 : r + 1], abs2[1 : r + 1]
             rows[...] = 0.0
-            np.put_along_axis(rows, pos[t0 : t0 + r], 1.0, axis=1)
+            flat[row_start[:r] + pos[t0 : t0 + r]] = 1.0
             np.fft.fft(rows, axis=1, out=rows)
-            rows /= cfg.total_active
+            re_im[1 : r + 1] *= scale
             rho[0] = np.sum(rho[: r + 1], axis=0)
             np.abs(rows, out=mags)
             np.square(mags, out=mags)

@@ -55,9 +55,10 @@ BATCH_TRIALS = 4096
 MAX_SUBSET_TABLE_ENTRIES = 1 << 22
 
 # Largest array a plan may need, in complex values: 512 MiB at 16 bytes each.
-# That is the larger of a batch of blocks (min(trials, BATCH_TRIALS) x N) and
-# one kernel tile row (U x N*L); the phase sequences (U x N) are never larger
-# than a tile row. A run needs a few arrays of this size at once.
+# That is the largest of a batch of blocks (min(trials, BATCH_TRIALS) x N),
+# one kernel tile row (U x N*L) and the M constellation symbols; the phase
+# sequences (U x N) are never larger than a tile row. A run needs a few
+# arrays of this size at once.
 MAX_PLAN_ELEMENTS = 1 << 25
 
 PSS_KINDS = ("random", "cyclic-hadamard", "pinned", "all-ones")
@@ -127,11 +128,15 @@ class TrialPlan:
         if self.oversample < 1 or int(self.oversample) != self.oversample:
             raise ValueError("oversample must be a positive integer")
         cfg = self.cfg
-        largest = max(min(self.trials, BATCH_TRIALS), self.scheme.u * int(self.oversample)) * cfg.n_fft
+        largest = max(
+            min(self.trials, BATCH_TRIALS) * cfg.n_fft,
+            self.scheme.u * int(self.oversample) * cfg.n_fft,
+            cfg.mod_order,
+        )
         if largest > MAX_PLAN_ELEMENTS:
             raise ValueError(
-                f"the plan needs an array of {largest} complex values (a batch of blocks or a "
-                f"kernel tile row), more than {MAX_PLAN_ELEMENTS}"
+                f"the plan needs an array of {largest} complex values (a batch of blocks, a "
+                f"kernel tile row or the constellation), more than {MAX_PLAN_ELEMENTS}"
             )
         if self.scheme.sap_source == "bits" and (cfg.active << cfg.index_bits) > MAX_SUBSET_TABLE_ENTRIES:
             raise ValueError(

@@ -10,16 +10,18 @@ Flag-to-parameter mapping: --n-fft = total subcarriers, --group-size =
 subcarriers per group, --active = active subcarriers per group,
 --mod-order = constellation order.
 
-Exit codes: 0 success, 2 invalid configuration or malformed input, or a run
-whose largest array would hold more than ccdf.MAX_PLAN_ELEMENTS values;
-3 unwritable output path. All randomized outputs are fully determined by
---seed; --workers never changes results.
+Exit codes: 0 success, 2 invalid configuration or malformed input, a run
+whose largest array would hold more than ccdf.MAX_PLAN_ELEMENTS values, or
+an analyze-perm run over MAX_MU_GRID_VALUES grid values; 3 unwritable
+output path. All randomized outputs are fully determined by --seed;
+--workers never changes results.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -107,6 +109,23 @@ def _check_array_size(rows: int, cols: int):
     if rows * cols > MAX_PLAN_ELEMENTS:
         raise CliError(
             2, f"invalid run: it needs an array of {rows} x {cols} values, more than {MAX_PLAN_ELEMENTS}"
+        )
+
+
+# Most mu grid values an analyze-perm run may compute: each of the U(U-1)/2
+# pairs builds an N x N grid, at about 100 ns per value on a 2-core x86-64
+# host, so a run at the cap takes about two minutes.
+MAX_MU_GRID_VALUES = 1 << 30
+
+
+def _check_mu_work(u: int, n_fft: int):
+    """Exit 2 before an analyze-perm run over more than MAX_MU_GRID_VALUES
+    grid values."""
+    values = max(u, 0) * (u - 1) // 2 * n_fft * n_fft
+    if values > MAX_MU_GRID_VALUES:
+        raise CliError(
+            2, f"invalid run: {u} permutations of {n_fft} need {values} mu grid values, "
+            f"more than {MAX_MU_GRID_VALUES}"
         )
 
 
@@ -252,7 +271,9 @@ def cmd_analyze_perm(args) -> int:
     _check_array_size(cfg.n_fft if args.perm_file else max(args.u, cfg.n_fft), cfg.n_fft)
     if args.perm_file:
         perms = _load(args.perm_file, "permutation", lambda doc: perm_set_from_json(doc, cfg))
+        _check_mu_work(perms.u, cfg.n_fft)
     else:
+        _check_mu_work(args.u, cfg.n_fft)  # before the set is drawn
         rng = np.random.default_rng(args.seed)
         try:
             perms = gen_perm_set(cfg, args.u, args.kind, rng)
@@ -355,7 +376,10 @@ def cmd_verify_var_rho(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one in the process: each ``parse_args`` fills a new namespace."""
     parser = argparse.ArgumentParser(prog="ofdm-im-slm", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"ofdm-im-slm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -66,6 +66,16 @@ def test_rho_profile_and_punctured_spectrum_refuse_bad_indices(bad):
         punctured_spectrum(p, p, bad)
 
 
+def test_rho_profile_refuses_an_empty_set():
+    # rho divides by the size of the set; the punctured spectrum of an empty
+    # set is well defined (all zeros)
+    for empty in ([], Sap(())):
+        with pytest.raises(ValueError, match="at least one active index"):
+            rho_profile(empty, CFG)
+    p = np.ones(64, dtype=complex)
+    assert not punctured_spectrum(p, p, []).magnitudes.any()
+
+
 def test_index_collections_keep_their_results():
     # any order, numpy integers and integral floats give the Sap's result
     as_sap = rho_profile(FIG1_SAP, CFG8)

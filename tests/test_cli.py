@@ -238,10 +238,12 @@ def test_ccdf_gamma_grid_beyond_the_cap_exit_2(tmp_path, capsys, spec):
 
 
 @needs_fork_and_statm
-@pytest.mark.parametrize("flags", [["--u", "100000000"], ["--n-fft", "1073741824"], ["--oversample", "100000000"]])
+@pytest.mark.parametrize("flags", [["--u", "100000000"], ["--n-fft", "1073741824"], ["--oversample", "100000000"],
+                                   ["--mod-order", "4294967296", "--active", "15"]])
 def test_ccdf_plan_beyond_the_array_cap_exit_2(tmp_path, flags):
-    # tens to hundreds of GiB for the phase sequences, a block or a kernel tile
-    # row: each is refused from the plan's arguments, before anything is allocated
+    # tens to hundreds of GiB for the phase sequences, a block, a kernel tile
+    # row or the constellation: each is refused from the plan's arguments,
+    # before anything is allocated
     rc, err = run_cli_capped(["ccdf", *flags, "--trials", "1", "--out", str(tmp_path / "x")])
     assert rc == 2, err
     assert err.startswith("error: invalid plan: ") and err.count("\n") == 1
@@ -290,8 +292,9 @@ GAMMA = st.sampled_from(["4:13:0.1", "0:20:1", "5:5:1"]) | st.sampled_from(["13:
 
 
 def just_above_the_cap(opts: dict, which: str) -> dict:
-    """``opts`` with --u, --oversample or --n-fft raised to the least value
-    that takes the plan's largest array over ccdf.MAX_PLAN_ELEMENTS."""
+    """``opts`` with --u, --oversample, --n-fft or --mod-order raised to the
+    least value that takes the plan's largest array over
+    ccdf.MAX_PLAN_ELEMENTS."""
     n_fft, trials = int(opts["--n-fft"]), max(1, int(opts["--trials"]))
     u, oversample = max(1, int(opts.get("--u", "1"))), max(1, int(opts["--oversample"]))
     cap, batch = ccdf.MAX_PLAN_ELEMENTS, min(trials, ccdf.BATCH_TRIALS)
@@ -299,6 +302,8 @@ def just_above_the_cap(opts: dict, which: str) -> dict:
         opts["--u"] = str(cap // (n_fft * oversample) + 1)
     elif which == "--oversample":
         opts["--oversample"] = str(cap // (u * n_fft) + 1)
+    elif which == "--mod-order":  # M symbols; the least power of two above the cap
+        opts["--mod-order"] = str(1 << cap.bit_length())
     else:
         while max(batch, u * oversample) * n_fft <= cap:
             n_fft *= 2
@@ -310,8 +315,8 @@ def just_above_the_cap(opts: dict, which: str) -> dict:
 def ccdf_argvs(draw):
     """ccdf argument lists with n_fft <= 64, any group split, tiny counts.
 
-    One in four instead has --u, --oversample or --n-fft just above the
-    plan's array cap: such a run must exit 2 before it allocates.
+    One in four instead has --u, --oversample, --n-fft or --mod-order just
+    above the plan's array cap: such a run must exit 2 before it allocates.
     """
     n_fft = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
     group_size = draw(st.sampled_from([g for g in (2, 4, 8, 16, 32, 64) if g <= n_fft]))
@@ -327,7 +332,8 @@ def ccdf_argvs(draw):
         "--trials": draw(SMALL_INT), "--workers": draw(SMALL_INT), "--oversample": draw(SMALL_INT),
         "--gamma": draw(GAMMA), "--seed": str(draw(st.integers(0, 3))),
     })
-    oversized = draw(st.sampled_from(["--u", "--oversample", "--n-fft"])) if draw(st.integers(0, 3)) == 0 else None
+    knobs = ["--u", "--oversample", "--n-fft", "--mod-order"]
+    oversized = draw(st.sampled_from(knobs)) if draw(st.integers(0, 3)) == 0 else None
     if oversized:
         opts = just_above_the_cap(opts, oversized)
     return ["ccdf", *(x for item in opts.items() for x in item)], oversized is not None
@@ -361,12 +367,14 @@ def test_ccdf_any_small_invocation_ends_cleanly(case, writable):
         assert writable and left == ["run.csv", "run.json"]
         opts = dict(zip(argv[1::2], argv[2::2]))
         trials = int(opts["--trials"])
-        rows = [line.split(",") for line in open(os.path.join(root, "run.csv")).read().splitlines()]
+        with open(os.path.join(root, "run.csv")) as f:
+            rows = [line.split(",") for line in f.read().splitlines()]
         assert rows[0] == ["gamma_db", "ccdf", "count", "trials"] and len(rows) > 1
         counts = [int(r[2]) for r in rows[1:]]
         assert all(0 <= c <= trials and r[3] == str(trials) for c, r in zip(counts, rows[1:]))
         assert counts == sorted(counts, reverse=True)
-        doc = json.load(open(os.path.join(root, "run.json")))
+        with open(os.path.join(root, "run.json")) as f:
+            doc = json.load(f)
         assert doc["trials"] == trials and doc["seed"] == int(opts["--seed"])
         assert len(doc["gamma_db"]) == len(rows) - 1
 
@@ -414,6 +422,43 @@ def test_analyze_perm_non_bijective_file_exit_2(tmp_path, capsys):
 def test_analyze_perm_single_perm_exit_2(tmp_path):
     rc = run_cli(["analyze-perm", "--n-fft", "64", "--group-size", "16", "--kind", "identity", "--u", "1"])
     assert rc == 2
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("ran past the work cap")
+
+
+@pytest.mark.parametrize("how", ["drawn", "file"])
+def test_analyze_perm_beyond_the_work_cap_exit_2(tmp_path, capsys, monkeypatch, how):
+    # 1.4 * 10^11 pairs at N = 64 (within the array cap), or 66 pairs of
+    # 4096 x 4096 grids from a small file: both are refused from the set's
+    # size, before any set is drawn or grid built, which here fails the test
+    # instead of running for hours
+    monkeypatch.setattr(cli, "gen_perm_set", fail_if_called)
+    monkeypatch.setattr(cli, "mu_metric", fail_if_called)
+    if how == "drawn":
+        argv = ["analyze-perm", "--u", "524288"]
+    else:
+        cfg = SystemConfig(n_fft=4096, group_size=16, active=1, mod_order=4)
+        path = tmp_path / "perm.in"
+        path.write_text(json.dumps(perm_set_to_json(gen_perm_set(cfg, 12, "identity", None))))
+        argv = ["analyze-perm", "--n-fft", "4096", "--perm-file", str(path)]
+    rc = run_cli([*argv, "--out", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: invalid run: ") and err.count("\n") == 1
+    assert f"more than {cli.MAX_MU_GRID_VALUES}" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_analyze_perm_work_cap_boundary():
+    # at N = 64 the cap allows 2^18 pairs: U = 724 gives 261726, U = 725 262450
+    cli._check_mu_work(724, 64)
+    with pytest.raises(cli.CliError) as exc:
+        cli._check_mu_work(725, 64)
+    assert exc.value.code == 2
+    for u in (-1000000, 0, 1):
+        cli._check_mu_work(u, 1 << 20)  # no pair: gen_perm_set and the pair check refuse these
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +708,28 @@ def test_analysis_command_just_above_its_cap_exit_2(command, data):
 
 # ---------------------------------------------------------------------------
 # misc
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # a flag given in one call is not carried into the next: each call
+    # writes what a call with a newly built parser writes
+    def run(argv, name):
+        assert run_cli([*argv, "--out", str(tmp_path / name)]) == 0
+        return {p.suffix: p.read_bytes() for p in tmp_path.glob(name + "*")}
+
+    ccdf_argv = ["ccdf", *BASE, "--trials", "300", "--gamma", "5:9:1"]
+    run([*ccdf_argv, "--u", "2"], "two")
+    after = run(ccdf_argv, "after")
+    pss_argv = ["analyze-pss", "--pss", "hadamard", "--u", "4"]
+    pair_1_2 = run([*pss_argv, "--pair", "1", "2"], "pair-1-2.csv")
+    pss_after = run(pss_argv, "pss-after.csv")
+    cli.build_parser.cache_clear()
+    assert run(ccdf_argv, "fresh") == after
+    assert json.loads(after[".json"])["scheme"]["u"] == 4
+    fresh = run(pss_argv, "pss-fresh.csv")
+    assert fresh == pss_after != pair_1_2
+    assert fresh == run([*pss_argv, "--pair", "0", "1"], "pair-0-1.csv")
+    assert capsys.readouterr().err == ""
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
