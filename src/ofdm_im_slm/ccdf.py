@@ -13,11 +13,15 @@ count.
 
 Per-batch draw order (per trial block): for each group in order, the
 active rows (uniform subset, or ranked-word lookup in bits mode), then all
-symbol indices. The candidates are those of ``slm.slm_select``: one call
-of ``slm.candidate_paprs_db`` per batch, which permutes and phase-rotates
-all U candidates of a tile of blocks, transforms them with one batched,
-unnormalised (zero-padded) FFT into buffers reused by every tile, and keeps
-only each candidate's peak power, scaled by the unitary factor 1/N. The
+symbol indices. The batch is never held as blocks: the drawn positions and
+symbol values go to one call of ``slm.candidate_paprs_db``, which assembles
+one tile of blocks at a time in a buffer reused by every tile (zeroed, then
+one flat index write of the tile's values). The candidates are those of
+``slm.slm_select``: the kernel permutes and phase-rotates all U candidates
+of the tile, transforms them with one batched, unnormalised (zero-padded)
+FFT into buffers reused by every tile, and keeps only each candidate's peak
+power, scaled by the unitary factor 1/N. So a batch's working set is its
+positions and values plus a few tiles, not a BATCH_TRIALS x N block. The
 lowest candidate PAPR of each trial is counted against the gamma grid with
 one sorted search and a histogram.
 """
@@ -29,6 +33,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import signal
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -55,10 +60,11 @@ BATCH_TRIALS = 4096
 MAX_SUBSET_TABLE_ENTRIES = 1 << 22
 
 # Largest array a plan may need, in complex values: 512 MiB at 16 bytes each.
-# That is the largest of a batch of blocks (min(trials, BATCH_TRIALS) x N),
-# one kernel tile row (U x N*L) and the M constellation symbols; the phase
-# sequences (U x N) are never larger than a tile row. A run needs a few
-# arrays of this size at once.
+# That is the largest of a batch's drawn positions and values
+# (min(trials, BATCH_TRIALS) x K, bounded by x N since K <= N), one kernel
+# tile row (U x N*L) and the M constellation symbols; the phase sequences
+# (U x N) are never larger than a tile row. A run needs a few arrays of this
+# size at once.
 MAX_PLAN_ELEMENTS = 1 << 25
 
 PSS_KINDS = ("random", "cyclic-hadamard", "pinned", "all-ones")
@@ -135,8 +141,8 @@ class TrialPlan:
         )
         if largest > MAX_PLAN_ELEMENTS:
             raise ValueError(
-                f"the plan needs an array of {largest} complex values (a batch of blocks, a "
-                f"kernel tile row or the constellation), more than {MAX_PLAN_ELEMENTS}"
+                f"the plan needs an array of {largest} complex values (a batch's drawn positions and "
+                f"values, a kernel tile row or the constellation), more than {MAX_PLAN_ELEMENTS}"
             )
         if self.scheme.sap_source == "bits" and (cfg.active << cfg.index_bits) > MAX_SUBSET_TABLE_ENTRIES:
             raise ValueError(
@@ -228,12 +234,11 @@ def _batch_counts(plan: TrialPlan, batch_index: int) -> np.ndarray:
         G, table = cfg.num_groups, plan.subset_table
         ranks = [rng.integers(0, table.shape[0], size=size) for _ in range(G)]
         pos = np.concatenate([table[r] * G + g for g, r in enumerate(ranks)], axis=1)
-    sym_idx = rng.integers(0, symbols.size, size=pos.shape)
+    # int32 indices are the same bounded 32-bit draws as the default int64 in
+    # half the bytes, and they are dropped as soon as they are mapped
+    values = symbols[rng.integers(0, symbols.size, size=pos.shape, dtype=np.int32)]
 
-    block = np.zeros((size, cfg.n_fft), dtype=complex)
-    np.put_along_axis(block, pos, symbols[sym_idx], axis=1)
-
-    paprs = candidate_paprs_db(block, pss.sequences, perms.inverse, cfg.mean_power, plan.oversample)
+    paprs = candidate_paprs_db(pos, values, cfg.n_fft, pss.sequences, perms.inverse, cfg.mean_power, plan.oversample)
     return _exceedance_counts(paprs.min(axis=-1), plan.gamma_db)
 
 
@@ -253,6 +258,9 @@ _WORKER_PLAN = None
 def _worker_init(plan):
     global _WORKER_PLAN
     _WORKER_PLAN = plan
+    # Ctrl-C reaches the whole process group: the parent alone handles it and
+    # ends the pool, so a worker prints no traceback of its own
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _worker_batch(batch_index):

@@ -13,8 +13,9 @@ subcarriers per group, --active = active subcarriers per group,
 Exit codes: 0 success, 2 invalid configuration or malformed input, a run
 whose largest array would hold more than ccdf.MAX_PLAN_ELEMENTS values, or
 an analyze-perm run over MAX_MU_GRID_VALUES grid values; 3 unwritable
-output path. All randomized outputs are fully determined by --seed;
---workers never changes results.
+output path; 130 interrupted (Ctrl-C), with no output left behind. All
+randomized outputs are fully determined by --seed; --workers never changes
+results.
 """
 
 from __future__ import annotations
@@ -439,6 +440,11 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except KeyboardInterrupt:
+        # the worker pool has ended on the way out of run_ccdf, and a partly
+        # written output has been removed by _write_lines
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

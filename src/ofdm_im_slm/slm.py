@@ -290,31 +290,51 @@ def _candidate_signals(blocks, pss_seq, perm_inv, padded=None, out=None):
 
 
 def candidate_paprs_db(
-    blocks: np.ndarray, pss_seq: np.ndarray, perm_inv: np.ndarray, mean_power: float, oversample: int = 1
+    positions: np.ndarray,
+    values: np.ndarray,
+    n_fft: int,
+    pss_seq: np.ndarray,
+    perm_inv: np.ndarray,
+    mean_power: float,
+    oversample: int = 1,
 ) -> np.ndarray:
-    """PAPR in dB of every SLM candidate: (..., N) blocks -> (..., U).
+    """PAPR in dB of every SLM candidate: (rows, K) drawn patterns -> (rows, U).
 
+    Row r stands for the length-``n_fft`` block that holds values[r] at the
+    subcarriers positions[r] (distinct within a row) and zeros elsewhere; a
+    dense block is ``positions = np.broadcast_to(np.arange(n_fft), shape)``.
     Candidate u gathers the block by the inverse of permutation u (entry i
     lands at d_u[i]), multiplies by phase row u and applies the IDFT,
     zero-padded by ``oversample`` with indices at or above N/2 as negative
-    frequencies (the layout of ``core.oversampled_idft``). Each tile of
-    blocks goes through the candidate stage that ``slm_select`` shares: one
-    gather, one phase multiply and one batched FFT without normalisation.
-    Only the peak powers are kept; the unitary factor 1/N scales those
-    peaks alone. The padded spectrum, signal and power buffers are allocated
-    once per call and reused by every tile, so the zero band is written once.
-    When N is a power of 4 and ``oversample`` a power of 2 every scale factor
-    is a power of two, and the result is bit-identical to taking the peaks of
+    frequencies (the layout of ``core.oversampled_idft``).
+
+    The blocks are assembled one tile at a time: the tile's rows of a
+    (tile, N) buffer are zeroed and its values written with one flat index
+    write, so no (rows, N) array is ever built. Each tile then goes through
+    the candidate stage that ``slm_select`` shares: one gather, one phase
+    multiply and one batched FFT without normalisation. Only the peak powers
+    are kept; the unitary factor 1/N scales those peaks alone. The block,
+    padded spectrum, signal and power buffers are allocated once per call
+    and reused by every tile, so the zero band is written once. When N is a
+    power of 4 and ``oversample`` a power of 2 every scale factor is a power
+    of two, and the result is bit-identical to taking the peaks of
     ``core.oversampled_idft``.
     """
     if oversample < 1 or int(oversample) != oversample:
         raise ValueError("oversampling factor must be a positive integer")
-    blocks = np.asarray(blocks, dtype=complex)
-    n, u = blocks.shape[-1], pss_seq.shape[0]
-    flat = blocks.reshape(-1, n)
-    rows, width = flat.shape[0], n * int(oversample)
+    positions, values = np.asarray(positions), np.asarray(values)
+    n, u = int(n_fft), pss_seq.shape[0]
+    if positions.ndim != 2 or positions.shape != values.shape:
+        raise ValueError(f"positions {positions.shape} and values {values.shape} must be the same (rows, K) shape")
+    if positions.size and (positions.min() < 0 or positions.max() >= n):
+        raise ValueError(f"positions must lie in 0..{n - 1}")
+    rows, width = positions.shape[0], n * int(oversample)
     step = max(1, _TILE_OUTPUTS // (u * width))
     tile = min(rows, step)
+    block = np.empty((tile, n), dtype=complex)
+    block_flat = block.reshape(-1)
+    # flat offset of each block row, for the scatter of the drawn values
+    row_offsets = np.arange(0, tile * n, n).reshape(tile, 1)
     padded = np.zeros((tile, u, width), dtype=complex) if width > n else None
     signal = np.empty((tile, u, width), dtype=complex)
     power = np.empty((tile, u, width))
@@ -323,9 +343,9 @@ def candidate_paprs_db(
     peaks = np.empty((rows, u))
     for start in range(0, rows, step):
         t = min(step, rows - start)
-        _candidate_signals(
-            flat[start : start + t], pss_seq, perm_inv, None if padded is None else padded[:t], signal[:t]
-        )
+        block[:t] = 0
+        block_flat[row_offsets[:t] + positions[start : start + t]] = values[start : start + t]
+        _candidate_signals(block[:t], pss_seq, perm_inv, None if padded is None else padded[:t], signal[:t])
         # |x|^2 as re^2 + im^2: square the float view in place, add into power
         parts = signal[:t].view(np.float64)
         np.square(parts, out=parts)
@@ -335,7 +355,7 @@ def candidate_paprs_db(
         at = power[:t].argmax(axis=-1)
         at += row_starts[:t]
         peaks[start : start + t] = power.reshape(-1)[at]
-    return 10.0 * np.log10(peaks * (1.0 / n) / mean_power).reshape(blocks.shape[:-1] + (u,))
+    return 10.0 * np.log10(peaks * (1.0 / n) / mean_power)
 
 
 def slm_select(

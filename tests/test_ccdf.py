@@ -11,9 +11,11 @@ from ofdm_im_slm import (
     SchemeDescriptor,
     SystemConfig,
     TrialPlan,
+    candidate_paprs_db,
     ccdf,
     compare_curves,
     default_gamma_grid,
+    draw_active_positions,
     instantiate_scheme,
     papr_at_ccdf,
     run_ccdf,
@@ -216,6 +218,67 @@ def test_oversampled_batch_path_matches_zero_padded_oracle():
     # the zero-padded envelope reaches values the Nyquist samples miss
     nyquist = _batch_counts(make_plan(scheme=scheme, trials=200, seed=78), 0)
     assert np.all(counts >= nyquist) and np.any(counts > nyquist)
+
+
+def dense_batch_counts(plan, batch_index):
+    """Counts of one batch from a dense (size, N) block of the batch: the
+    assembly that the kernel's per-tile scatter replaced, kept as its oracle.
+    The draws are replayed with numpy's default integer types."""
+    cfg = plan.cfg
+    pss, perms = plan.generator_sets
+    symbols = Constellation.psk(cfg.mod_order).symbols
+    size = min(BATCH_TRIALS, plan.trials - batch_index * BATCH_TRIALS)
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(2, batch_index)))
+    if plan.scheme.sap_source == "uniform":
+        pos = draw_active_positions(cfg, size, rng)
+    else:
+        G, table = cfg.num_groups, plan.subset_table
+        ranks = [rng.integers(0, table.shape[0], size=size) for _ in range(G)]
+        pos = np.concatenate([table[r] * G + g for g, r in enumerate(ranks)], axis=1)
+    sym_idx = rng.integers(0, symbols.size, size=pos.shape)
+    block = np.zeros((size, cfg.n_fft), dtype=complex)
+    np.put_along_axis(block, pos, symbols[sym_idx], axis=1)
+    dense = np.broadcast_to(np.arange(cfg.n_fft), block.shape)
+    paprs = candidate_paprs_db(dense, block, cfg.n_fft, pss.sequences, perms.inverse, cfg.mean_power, plan.oversample)
+    return _exceedance_counts(paprs.min(axis=-1), plan.gamma_db)
+
+
+@pytest.mark.parametrize("sap_source", SAP_SOURCES)
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+@pytest.mark.parametrize("cfg", [CFG, CFG14], ids=["k2", "k14"])
+@pytest.mark.parametrize("perm_kind", ["identity", "random"])
+# U=4 tiles hold 128, 64 or 32 blocks at L = 1, 2 or 4: 20 blocks are less
+# than one tile and 300 are not a whole number of tiles
+@pytest.mark.parametrize("trials", [20, 300])
+def test_batch_counts_match_dense_block_oracle(sap_source, oversample, cfg, perm_kind, trials):
+    scheme = SchemeDescriptor(mode="slm", u=4, pss_kind="random", perm_kind=perm_kind, sap_source=sap_source)
+    plan = make_plan(cfg=cfg, scheme=scheme, trials=trials, seed=trials + oversample, oversample=oversample)
+    counts = _batch_counts(plan, 0)
+    assert np.array_equal(counts, dense_batch_counts(plan, 0))
+    assert np.any((0 < counts) & (counts < trials))  # the grid resolves the batch
+
+
+def test_batch_counts_match_dense_block_oracle_at_n1024():
+    # the second batch, 300 blocks in tiles of 8
+    cfg = SystemConfig(n_fft=1024, group_size=16, active=2, mod_order=4)
+    scheme = SchemeDescriptor(mode="slm", u=4, pss_kind="random", perm_kind="random")
+    plan = make_plan(cfg=cfg, scheme=scheme, trials=BATCH_TRIALS + 300, seed=12)
+    assert np.array_equal(_batch_counts(plan, 1), dense_batch_counts(plan, 1))
+
+
+def test_batch_holds_no_block_of_the_whole_batch():
+    # a (4096, 1024) complex block of the batch would take 64 MiB
+    cfg = SystemConfig(n_fft=1024, group_size=16, active=2, mod_order=4)
+    scheme = SchemeDescriptor(mode="slm", u=4, pss_kind="random", perm_kind="random")
+    plan = make_plan(cfg=cfg, scheme=scheme, trials=BATCH_TRIALS, seed=3)
+    plan.generator_sets
+    tracemalloc.start()
+    try:
+        _batch_counts(plan, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < BATCH_TRIALS * cfg.n_fft * 16 // 4
 
 
 @pytest.mark.parametrize("sap_source", SAP_SOURCES)

@@ -3,7 +3,11 @@ import io
 import json
 import os
 import resource
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 import traceback
 import warnings
 
@@ -283,6 +287,52 @@ def test_ccdf_bits_source_with_huge_pattern_table_exit_2(tmp_path, capsys, group
 def test_ccdf_nonpositive_workers_exit_2(tmp_path, capsys, workers):
     rc = run_cli(["ccdf", *BASE, "--workers", workers, "--trials", "10", "--out", str(tmp_path / "x")])
     assert_clean_exit_2(rc, capsys, tmp_path)
+
+
+def child_pids(pid: int) -> list:
+    """Processes whose parent is ``pid``, read from /proc/<pid>/stat."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            with contextlib.suppress(OSError):
+                with open(f"/proc/{entry}/stat") as f:
+                    # the command name in parentheses may hold spaces: fields after it
+                    fields = f.read().rsplit(")", 1)[1].split()
+                if int(fields[1]) == pid:
+                    found.append(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc/<pid>/stat")
+def test_ccdf_ctrl_c_ends_a_two_worker_run_with_one_line(tmp_path):
+    # Ctrl-C sends SIGINT to the terminal's whole process group, workers included
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ccdf.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "ofdm_im_slm.cli", "ccdf", *BASE, "--trials", str(10**8), "--workers", "2", "--out", "run"]
+    # as in a terminal's foreground job, SIGINT has its default action in the
+    # child even when this process was started with it ignored
+    proc = subprocess.Popen(
+        cmd, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(child_pids(proc.pid)) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(child_pids(proc.pid)) == 2, "the two workers never started"
+        time.sleep(0.5)  # past the workers' initializer
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 130
+    assert err.decode().splitlines() == ["interrupted"]
+    assert os.listdir(tmp_path) == []  # no output and no .tmp file
+    # the new session's process group is empty: no worker outlived the run
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 # each value is valid in at least three draws of four, so that runs that

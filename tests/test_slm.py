@@ -47,6 +47,13 @@ def random_block(cfg, seed=0):
     return assemble_block(groups, cfg)
 
 
+def dense_paprs(blocks, pss_seq, perm_inv, mean_power, oversample=1):
+    """``candidate_paprs_db`` of dense (rows, N) blocks: every subcarrier is a position."""
+    blocks = np.asarray(blocks)
+    positions = np.broadcast_to(np.arange(blocks.shape[-1]), blocks.shape)
+    return candidate_paprs_db(positions, blocks, blocks.shape[-1], pss_seq, perm_inv, mean_power, oversample)
+
+
 # ---------------------------------------------------------------------------
 # maximal-length sequences
 
@@ -346,7 +353,7 @@ def test_slm_select_bytes_match_idft_and_candidate_paprs(n_fft, u, alphabet):
         result = slm_select(block, pss, perms, cfg)
         best = result.selected_index
         assert np.array_equal(result.signal, idft(block[perms.inverse[best]] * pss.sequences[best]))
-        assert np.array_equal(result.papr_db, candidate_paprs_db(block, pss.sequences, perms.inverse, cfg.mean_power))
+        assert np.array_equal(result.papr_db, dense_paprs(block[None], pss.sequences, perms.inverse, cfg.mean_power)[0])
 
 
 def test_slm_select_runs_one_transform(monkeypatch):
@@ -373,19 +380,33 @@ def test_candidate_paprs_batch_matches_single_blocks():
     pss = gen_random_pss(CFG, 4, rng)
     perm_inv = np.argsort(gen_perm_set(CFG, 4, "random", rng).perms, axis=1)
     blocks = np.array([random_block(CFG, seed=200 + s)[0] for s in range(5)])
-    batch = candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power)
+    batch = dense_paprs(blocks, pss.sequences, perm_inv, CFG.mean_power)
     assert batch.shape == (5, 4)
     for t in range(5):
-        single = candidate_paprs_db(blocks[t], pss.sequences, perm_inv, CFG.mean_power)
-        assert np.array_equal(single, batch[t])
+        single = dense_paprs(blocks[t : t + 1], pss.sequences, perm_inv, CFG.mean_power)
+        assert np.array_equal(single, batch[t : t + 1])
+    # the drawn form: only the active subcarriers, in any order within a row
+    active = np.array([np.flatnonzero(b)[::-1] for b in blocks])
+    sparse = candidate_paprs_db(
+        active, np.take_along_axis(blocks, active, axis=1), CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power
+    )
+    assert np.array_equal(sparse, batch)
     # oversampling only adds samples between the Nyquist-rate ones
-    over = candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=4)
+    over = dense_paprs(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=4)
     assert np.all(over >= batch - 1e-9)
     # a real-valued block is a complex block with zero imaginary parts
-    real = candidate_paprs_db(blocks.real, pss.sequences, perm_inv, CFG.mean_power)
-    assert np.array_equal(real, candidate_paprs_db(blocks.real + 0j, pss.sequences, perm_inv, CFG.mean_power))
+    real = dense_paprs(blocks.real, pss.sequences, perm_inv, CFG.mean_power)
+    assert np.array_equal(real, dense_paprs(blocks.real + 0j, pss.sequences, perm_inv, CFG.mean_power))
     with pytest.raises(ValueError, match="oversampling"):
-        candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=0)
+        dense_paprs(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=0)
+    # a position outside the block, or values that do not match the positions
+    for bad in (-1, CFG.n_fft):
+        wrong = active.copy()
+        wrong[2, 1] = bad
+        with pytest.raises(ValueError, match="positions must lie"):
+            candidate_paprs_db(wrong, blocks[:, :8], CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power)
+    with pytest.raises(ValueError, match="same"):
+        candidate_paprs_db(active, blocks[:, :7], CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power)
 
 
 @pytest.mark.parametrize("oversample", [1, 4])
@@ -397,7 +418,7 @@ def test_candidate_paprs_are_the_row_maxima_of_oversampled_idft(oversample):
     perm_inv = gen_perm_set(CFG, 4, "random", rng).inverse
     blocks = np.array([random_block(CFG, seed=400 + s)[0] for s in range(200)])
     blocks[7, 3] = np.nan
-    got = candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample)
+    got = dense_paprs(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample)
     x = oversampled_idft(blocks[:, perm_inv] * pss.sequences, oversample)
     want = 10.0 * np.log10(np.max(x.real**2 + x.imag**2, axis=-1) / CFG.mean_power)
     assert np.array_equal(got, want, equal_nan=True)
@@ -411,10 +432,10 @@ def test_candidate_paprs_rows_across_tiles_match_single_blocks(oversample):
     pss = gen_random_pss(CFG, 4, rng)
     perm_inv = gen_perm_set(CFG, 4, "random", rng).inverse
     blocks = np.array([random_block(CFG, seed=300 + s)[0] for s in range(300)])
-    batch = candidate_paprs_db(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample)
+    batch = dense_paprs(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample)
     for t in range(300):
-        single = candidate_paprs_db(blocks[t], pss.sequences, perm_inv, CFG.mean_power, oversample)
-        assert np.array_equal(single, batch[t])
+        single = dense_paprs(blocks[t : t + 1], pss.sequences, perm_inv, CFG.mean_power, oversample)
+        assert np.array_equal(single, batch[t : t + 1])
 
 
 @pytest.mark.parametrize("n_fft", [32, 128])
@@ -427,7 +448,7 @@ def test_candidate_paprs_match_zero_padded_dft_matrix(n_fft, oversample):
     pss = np.exp(0.5j * np.pi * rng.integers(0, 4, (u, n_fft)))
     perms = np.array([rng.permutation(n_fft) for _ in range(u)])
     blocks = np.exp(0.5j * np.pi * rng.integers(0, 4, (7, n_fft))) * (rng.random((7, n_fft)) < 0.5)
-    got = candidate_paprs_db(blocks, pss, np.argsort(perms, axis=1), mean_power, oversample)
+    got = dense_paprs(blocks, pss, np.argsort(perms, axis=1), mean_power, oversample)
     # bins at or above N/2 are negative frequencies of the zero-padded spectrum
     freq = np.where(np.arange(n_fft) < n_fft // 2, np.arange(n_fft), np.arange(n_fft) - n_fft)
     dft = np.exp(2j * np.pi * np.outer(freq, np.arange(n_fft * oversample)) / (n_fft * oversample))
