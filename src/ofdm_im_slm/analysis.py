@@ -75,8 +75,9 @@ def var_rho_empirical(cfg: SystemConfig, m: int, trials: int, rng: np.random.Gen
 # patterns per chunk of var_rho_empirical_profile: the draw of one chunk is one
 # draw_active_positions call, so the chunk size is part of the stream
 VAR_RHO_CHUNK = 20000
-# complex values per tile that a chunk's patterns are transformed in
-_VAR_RHO_TILE = 1 << 16
+# complex values (512 KiB) per tile that a chunk's patterns are transformed in;
+# the sums add row by row, so the tile size changes no output bit
+_VAR_RHO_TILE = 1 << 15
 
 
 def var_rho_empirical_profile(

@@ -10,7 +10,8 @@ Flag-to-parameter mapping: --n-fft = total subcarriers, --group-size =
 subcarriers per group, --active = active subcarriers per group,
 --mod-order = constellation order.
 
-Exit codes: 0 success, 2 invalid configuration or malformed input, a run
+Exit codes: 0 success, 2 invalid configuration or malformed input (an
+--out that names no file among them), a run
 whose largest array would hold more than ccdf.MAX_PLAN_ELEMENTS values, or
 an analyze-perm run over MAX_MU_GRID_VALUES grid values; 3 unwritable
 output path; 130 interrupted (Ctrl-C), with no output left behind. All
@@ -147,19 +148,20 @@ def _load(path: str, what: str, parse):
 def _write_lines(path: str, lines):
     """Write ``lines`` as they are made to a temporary file in the target
     directory, then rename it over ``path``, so a run that fails leaves no
-    partial or empty output."""
+    partial or empty output. An error names ``path``, never the temporary
+    file."""
     target = os.path.realpath(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".", suffix=".tmp")
     except OSError as e:
-        raise CliError(3, f"cannot write {path}: {e}")
+        raise CliError(3, f"cannot write {path}: {e.strerror or e}")
     try:
         with os.fdopen(fd, "w") as f:
             f.writelines(lines)
         os.chmod(tmp, _open_mode(target))
         os.replace(tmp, target)
     except OSError as e:
-        raise CliError(3, f"cannot write {path}: {e}")
+        raise CliError(3, f"cannot write {path}: {e.strerror or e}")
     finally:
         # already gone after a successful rename
         with contextlib.suppress(FileNotFoundError):
@@ -192,7 +194,15 @@ def _check_writable(path: str):
         os.close(fd)
         os.remove(tmp)
     except OSError as e:
-        raise CliError(3, f"cannot write {path}: {e}")
+        raise CliError(3, f"cannot write {path}: {e.strerror or e}")
+
+
+def _check_out_name(out: str, base: str | None = None):
+    """Exit 2 for an --out that names no file: an empty name, or one that
+    ends in a directory separator. ``base`` is checked in place of ``out``
+    when ``out`` has had a suffix taken off (``ccdf --out .csv``)."""
+    if not os.path.basename(out if base is None else base):
+        raise CliError(2, f"--out {out!r} names no file")
 
 
 def _load_sap(path: str, cfg: SystemConfig) -> Sap:
@@ -252,6 +262,7 @@ def cmd_ccdf(args) -> int:
         raise CliError(2, f"invalid generator sets: {e}")
 
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
+    _check_out_name(args.out, base)
     csv_path, json_path = base + ".csv", base + ".json"
     _check_writable(csv_path)
     _check_writable(json_path)
@@ -270,6 +281,11 @@ def cmd_analyze_perm(args) -> int:
     cfg = _build_cfg(args)
     # the N x N grid of mu_metric; a drawn set is U x N
     _check_array_size(cfg.n_fft if args.perm_file else max(args.u, cfg.n_fft), cfg.n_fft)
+    if not args.perm_file and args.u < 2:
+        raise CliError(2, f"--u must be >= 2 to form a pair, got {args.u}")
+    if args.out is not None:
+        _check_out_name(args.out)
+        _check_writable(args.out)
     if args.perm_file:
         perms = _load(args.perm_file, "permutation", lambda doc: perm_set_from_json(doc, cfg))
         _check_mu_work(perms.u, cfg.n_fft)
@@ -292,7 +308,7 @@ def cmd_analyze_perm(args) -> int:
     aggregate = float(np.mean([p["mu"] for p in pairs]))
     print(f"aggregate mu = {format_sig9(aggregate)}")
 
-    if args.out:
+    if args.out is not None:
         doc = {
             "n_fft": cfg.n_fft,
             "num_groups": cfg.num_groups,
@@ -311,6 +327,8 @@ def cmd_analyze_perm(args) -> int:
 
 def cmd_analyze_pss(args) -> int:
     cfg = _build_cfg(args)
+    _check_out_name(args.out)
+    _check_writable(args.out)
     rng = np.random.default_rng(args.seed)
     if args.pss_file:
         pss = _load(args.pss_file, "PSS", lambda doc: pss_from_json(doc).check(cfg))
@@ -345,7 +363,10 @@ def cmd_analyze_pss(args) -> int:
 def cmd_verify_var_rho(args) -> int:
     cfg = _build_cfg(args)
     _check_array_size(min(args.trials, VAR_RHO_CHUNK), cfg.n_fft)  # one chunk of patterns
-    if args.m_values:
+    if args.out is not None:
+        _check_out_name(args.out)
+        _check_writable(args.out)
+    if args.m_values is not None:
         try:
             m_list = [int(v) for v in args.m_values.split(",")]
         except ValueError:
@@ -367,7 +388,7 @@ def cmd_verify_var_rho(args) -> int:
             rel = format_sig9(abs(emp - analytic) / analytic) if analytic > 0 else ""
             yield f"{m},{format_sig9(analytic)},{format_sig9(emp)},{rel}\n"
 
-    if args.out:
+    if args.out is not None:
         _write_lines(args.out, lines())
         print(f"wrote {args.out}")
     else:

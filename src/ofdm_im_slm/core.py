@@ -263,31 +263,37 @@ def map_bits_to_group(bits, cfg: SystemConfig, cs: Constellation):
     return gsaps[0], cs.symbols[symbols]
 
 
-# rows of n per in-place shuffle call of draw_active_positions (at least one group's trials)
-_SHUFFLE_ROWS = 4096
+# values per in-place shuffle call of draw_active_positions: one 512 KiB buffer
+_SHUFFLE_VALUES = 1 << 16
 
 
 def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
     """(trials, K) active subcarrier indices, uniform over all C(n,k)^G patterns.
 
     Columns run group by group, sorted rows within each group; group g draws
-    one row-wise shuffle of all trials before group g+1. Several groups'
-    rows, group-major, share one in-place shuffle call when trials is small:
-    the same stream as one call per group.
+    one row-wise shuffle of all trials before group g+1. The shuffles run in
+    place in one buffer of about _SHUFFLE_VALUES values: several groups'
+    rows, group-major, share one call when trials is small, and one group's
+    rows go through several calls when trials is large. ``rng.permuted``
+    shuffles rows in order, so either is the stream of one call per group.
     """
     n, k, G = cfg.group_size, cfg.active, cfg.num_groups
-    per_call = min(G, max(1, _SHUFFLE_ROWS // max(trials, 1)))
+    rows_per_call = max(1, _SHUFFLE_VALUES // n)
+    per_call = min(G, max(1, rows_per_call // max(trials, 1)))  # groups per call
+    step = max(1, min(trials, rows_per_call))  # trials per call
     out = np.empty((trials, G, k), dtype=np.intp)
-    buf = np.empty((per_call * trials, n), dtype=np.intp)
+    buf = np.empty((per_call * step, n), dtype=np.intp)
     for g0 in range(0, G, per_call):
         gc = min(per_call, G - g0)
-        rows = buf[: gc * trials]
-        rows[...] = np.arange(n)
-        rng.permuted(rows, axis=1, out=rows)
-        picks = np.sort(rows[:, :k], axis=1).reshape(gc, trials, k).transpose(1, 0, 2)
-        dest = out[:, g0 : g0 + gc]
-        np.multiply(picks, G, out=dest)
-        dest += np.arange(g0, g0 + gc)[:, None]
+        for s in range(0, trials, step):
+            t = min(step, trials - s)  # gc > 1 only when t == trials
+            rows = buf[: gc * t]
+            rows[...] = np.arange(n)
+            rng.permuted(rows, axis=1, out=rows)
+            picks = np.sort(rows[:, :k], axis=1).reshape(gc, t, k).transpose(1, 0, 2)
+            dest = out[s : s + t, g0 : g0 + gc]
+            np.multiply(picks, G, out=dest)
+            dest += np.arange(g0, g0 + gc)[:, None]
     return out.reshape(trials, G * k)
 
 

@@ -9,6 +9,7 @@ from ofdm_im_slm import (
     Sap,
     SystemConfig,
     all_ones_pss,
+    analysis,
     cov_alt_signals,
     draw_active_positions,
     gen_hadamard_pss,
@@ -158,11 +159,11 @@ def var_rho_profile_oracle(cfg, trials, rng, chunk):
 
 
 @pytest.mark.parametrize("cfg,trials,chunk", [
-    # tiles of 1024 rows at N = 64: 2500 = 1024 + 1024 + 452, chunks 2500 + 2500 + 1
+    # tiles of 512 rows at N = 64: 2500 = 4 * 512 + 452, chunks 2500 + 2500 + 1
     (CFG, 5001, 2500),
     (CFG, 1, 20000),
     (CFG8, 999, 20000),
-    # tiles of 256 rows at N = 256: a chunk of 700 ends in a partial tile
+    # tiles of 128 rows at N = 256: a chunk of 700 ends in a partial tile
     (SystemConfig(n_fft=256, group_size=16, active=3, mod_order=4), 1401, 700),
     # a tile of one row at N = 2^17
     (SystemConfig(n_fft=1 << 17, group_size=4, active=1, mod_order=4), 3, 2),
@@ -174,16 +175,36 @@ def test_var_rho_profile_equals_one_array_per_chunk(cfg, trials, chunk):
     assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_var_rho_profile_memory_is_bounded_by_the_tile():
-    # one chunk of 20000 patterns at N = 64 is 20 MB as one complex array
-    # plus 10 MB of magnitudes; the tiles keep the draw and about 1.5 MB
+def traced_peak(f, *args, **kwargs):
+    """Peak bytes that tracemalloc sees while ``f(*args, **kwargs)`` runs."""
     tracemalloc.start()
     try:
-        var_rho_empirical_profile(CFG, 20000, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+
+
+def test_var_rho_profile_memory_is_bounded_by_the_tile():
+    # one chunk of 20000 patterns at N = 64 is 20 MB as one complex array
+    # plus 10 MB of magnitudes; with the tiles the whole call peaks at 2.7 MiB
+    assert traced_peak(var_rho_empirical_profile, CFG, 20000, np.random.default_rng(0)) < 12e6
+
+
+def test_var_rho_profile_of_1e5_trials_stays_under_4_mib():
+    # the chunk's drawn positions (1.28 MB), one 512 KiB shuffle buffer and
+    # two tile buffers: 2.7 MiB, or 3.5 MiB as a process's first FFT; a
+    # (20000, 16) shuffle buffer alone took 2.44 MiB
+    assert traced_peak(var_rho_empirical_profile, CFG, 100000, np.random.default_rng(0)) < 4 << 20
+
+
+def test_var_rho_profile_bytes_do_not_depend_on_the_tile(monkeypatch):
+    # every sum adds row by row, so the tile size changes no bit
+    profiles = []
+    for tile in (1 << 13, 1 << 15, 1 << 16):
+        monkeypatch.setattr(analysis, "_VAR_RHO_TILE", tile)
+        profiles.append(var_rho_empirical_profile(CFG, 5001, np.random.default_rng(4), chunk=2500))
+    assert all(p.tobytes() == profiles[0].tobytes() for p in profiles[1:])
 
 
 def test_var_rho_empirical_rejects_bad_trials():

@@ -475,7 +475,16 @@ def test_analyze_perm_single_perm_exit_2(tmp_path):
 
 
 def fail_if_called(*args, **kwargs):
-    raise AssertionError("ran past the work cap")
+    raise AssertionError("ran past the check")
+
+
+@pytest.mark.parametrize("u", ["-3", "0", "1"])
+def test_analyze_perm_fewer_than_two_drawn_perms_exit_2(monkeypatch, capsys, u):
+    monkeypatch.setattr(cli, "gen_perm_set", fail_if_called)  # refused before the draw
+    rc = run_cli(["analyze-perm", "--n-fft", "64", "--group-size", "16", "--u", u])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: --u must be >= 2 to form a pair, got {u}\n"
 
 
 @pytest.mark.parametrize("how", ["drawn", "file"])
@@ -602,6 +611,53 @@ def test_verify_var_rho_zero_trials_exit_2(tmp_path, capsys):
 def test_verify_var_rho_bad_m_values():
     rc = run_cli(["verify-var-rho", *BASE, "--trials", "100", "--m-values", "1,99"])
     assert rc == 2
+
+
+def test_verify_var_rho_empty_m_values_exit_2(capsys):
+    rc = run_cli(["verify-var-rho", *BASE, "--trials", "100", "--m-values", ""])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: bad --m-values ''\n"
+
+
+# ---------------------------------------------------------------------------
+# output names
+
+@pytest.mark.parametrize("argv,out", [
+    (["ccdf", "--trials", "10"], ""),
+    (["ccdf", "--trials", "10"], ".csv"),
+    (["ccdf", "--trials", "10"], "some/dir/"),
+    (["ccdf", "--trials", "10"], "some/dir/.csv"),
+    (["verify-var-rho", "--trials", "10"], ""),
+    (["analyze-perm"], ""),
+    (["analyze-pss"], ""),
+    (["analyze-pss"], "some/dir/"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
+def test_out_that_names_no_file_exit_2(tmp_path, monkeypatch, capsys, argv, out):
+    # nothing is written, not even a hidden .csv, .json or .tmp file in the
+    # working directory or in the named one
+    (tmp_path / "some" / "dir").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli([*argv, *BASE, "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: --out {out!r} names no file\n"
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["some", "some/dir"]
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["analyze-pss"], "punctured_spectrum"),
+    (["analyze-perm", "--u", "3"], "mu_metric"),
+    (["verify-var-rho", "--trials", "10"], "var_rho_empirical_profile"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_analysis_output_is_checked_before_the_work(tmp_path, monkeypatch, capsys, argv, work):
+    monkeypatch.setattr(cli, work, fail_if_called)
+    rc = run_cli([*argv, *BASE, "--out", str(tmp_path / "missing" / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: cannot write ") and str(tmp_path / "missing" / "x.csv") in err
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

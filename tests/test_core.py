@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,13 +370,24 @@ def draw_active_positions_oracle(cfg, trials, rng):
     return np.concatenate(cols, axis=1)
 
 
+N1024 = SystemConfig(n_fft=1024, group_size=1024, active=2, mod_order=4)
+
+
 @pytest.mark.parametrize("cfg,trials", [
-    (CFG, 1), (CFG, 7), (CFG, 4096), (CFG, 4097), (CFG8, 300),
+    (CFG, 0), (CFG, 1), (CFG, 7), (CFG, 4096), (CFG, 4097), (CFG8, 300),
     (SystemConfig(n_fft=64, group_size=16, active=14, mod_order=4), 50),
-    # more groups than fit in one shuffle call: 512 groups at 455 per call
+    # 512 groups of 9 trials share one shuffle call
     (SystemConfig(n_fft=1024, group_size=2, active=1, mod_order=4), 9),
-    # 8192 groups of one trial: two calls of 4096
+    # 8192 groups of one trial, all in one call
     (SystemConfig(n_fft=16384, group_size=2, active=1, mod_order=4), 1),
+    # more groups than fit in one call: 8192 groups at 3640 per call
+    (SystemConfig(n_fft=16384, group_size=2, active=1, mod_order=4), 9),
+    # one group's trials across calls of 4096 rows of 16: 4096 * 4 + 3616, and 4096 * 2 + 1
+    (CFG, 20000), (CFG, 8193),
+    (SystemConfig(n_fft=64, group_size=16, active=15, mod_order=4), 8193),
+    # a single group of 1024 in calls of 64 rows: 64 + 1, and 64 calls of 64
+    (N1024, 65), (N1024, 4096),
+    (SystemConfig(n_fft=1024, group_size=1024, active=1023, mod_order=4), 65),
 ], ids=lambda v: str(v) if isinstance(v, int) else f"N{v.n_fft}n{v.group_size}k{v.active}")
 def test_draw_active_positions_equals_one_shuffle_per_group(cfg, trials):
     a, b = np.random.default_rng(trials), np.random.default_rng(trials)
@@ -385,6 +397,18 @@ def test_draw_active_positions_equals_one_shuffle_per_group(cfg, trials):
     # the generator is left in the same state, so the next draw agrees too
     assert np.array_equal(draw_active_positions(cfg, 3, a), draw_active_positions_oracle(cfg, 3, b))
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_draw_active_positions_memory_is_bounded_by_the_shuffle_buffer():
+    # a (4096, 4096) intp buffer of every trial's shuffled row would take 128 MiB
+    cfg = SystemConfig(n_fft=4096, group_size=4096, active=2, mod_order=4)
+    tracemalloc.start()
+    try:
+        draw_active_positions(cfg, 4096, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_sample_random_sap_marginals():
