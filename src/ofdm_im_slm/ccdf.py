@@ -13,17 +13,19 @@ count.
 
 Per-batch draw order (per trial block): for each group in order, the
 active rows (uniform subset, or ranked-word lookup in bits mode), then all
-symbol indices. The batch is never held as blocks: the drawn positions and
-symbol values go to one call of ``slm.candidate_paprs_db``, which assembles
-one tile of blocks at a time in a buffer reused by every tile (zeroed, then
-one flat index write of the tile's values). The candidates are those of
+symbol indices. The batch is never held as blocks or as symbol values: the
+drawn positions and int32 symbol indices go with the constellation to one
+call of ``slm.candidate_paprs_db``, which assembles one tile of blocks at a
+time in a buffer reused by every tile (zeroed, then one flat index write of
+the tile's symbols, looked up from its indices). The candidates are those of
 ``slm.slm_select``: the kernel permutes and phase-rotates all U candidates
 of the tile, transforms them with one batched, unnormalised (zero-padded)
 FFT into buffers reused by every tile, and keeps only each candidate's peak
 power, scaled by the unitary factor 1/N. So a batch's working set is its
-positions and values plus a few tiles, not a BATCH_TRIALS x N block. The
-lowest candidate PAPR of each trial is counted against the gamma grid with
-one sorted search and a histogram.
+positions and symbol indices (12 bytes per active subcarrier) plus a few
+tiles, not a BATCH_TRIALS x N block. The lowest candidate PAPR of each
+trial is counted against the gamma grid with one sorted search and a
+histogram.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ BATCH_TRIALS = 4096
 MAX_SUBSET_TABLE_ENTRIES = 1 << 22
 
 # Largest array a plan may need, in complex values: 512 MiB at 16 bytes each.
-# That is the largest of a batch's drawn positions and values
+# That is the largest of a batch's drawn positions and symbol indices
 # (min(trials, BATCH_TRIALS) x K, bounded by x N since K <= N), one kernel
 # tile row (U x N*L) and the M constellation symbols; the phase sequences
 # (U x N) are never larger than a tile row. A run needs a few arrays of this
@@ -129,7 +131,10 @@ class TrialPlan:
             raise ValueError("seed must be a nonnegative integer")
         if gamma.size == 0:
             raise ValueError("gamma grid is empty")
-        if gamma.ndim != 1 or np.any(np.diff(gamma) <= 0):
+        if gamma.ndim != 1 or not np.all(np.isfinite(gamma)):
+            raise ValueError("gamma grid must be one row of finite values")
+        # written so that a NaN difference fails too
+        if not np.all(np.diff(gamma) > 0):
             raise ValueError("gamma grid must be strictly increasing")
         if self.oversample < 1 or int(self.oversample) != self.oversample:
             raise ValueError("oversample must be a positive integer")
@@ -142,7 +147,7 @@ class TrialPlan:
         if largest > MAX_PLAN_ELEMENTS:
             raise ValueError(
                 f"the plan needs an array of {largest} complex values (a batch's drawn positions and "
-                f"values, a kernel tile row or the constellation), more than {MAX_PLAN_ELEMENTS}"
+                f"symbol indices, a kernel tile row or the constellation), more than {MAX_PLAN_ELEMENTS}"
             )
         if self.scheme.sap_source == "bits" and (cfg.active << cfg.index_bits) > MAX_SUBSET_TABLE_ENTRIES:
             raise ValueError(
@@ -235,10 +240,12 @@ def _batch_counts(plan: TrialPlan, batch_index: int) -> np.ndarray:
         ranks = [rng.integers(0, table.shape[0], size=size) for _ in range(G)]
         pos = np.concatenate([table[r] * G + g for g, r in enumerate(ranks)], axis=1)
     # int32 indices are the same bounded 32-bit draws as the default int64 in
-    # half the bytes, and they are dropped as soon as they are mapped
-    values = symbols[rng.integers(0, symbols.size, size=pos.shape, dtype=np.int32)]
+    # half the bytes; the kernel maps them to symbols one tile at a time
+    symbol_index = rng.integers(0, symbols.size, size=pos.shape, dtype=np.int32)
 
-    paprs = candidate_paprs_db(pos, values, cfg.n_fft, pss.sequences, perms.inverse, cfg.mean_power, plan.oversample)
+    paprs = candidate_paprs_db(
+        pos, symbol_index, symbols, cfg.n_fft, pss.sequences, perms.inverse, cfg.mean_power, plan.oversample
+    )
     return _exceedance_counts(paprs.min(axis=-1), plan.gamma_db)
 
 

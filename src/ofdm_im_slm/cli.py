@@ -10,7 +10,8 @@ Flag-to-parameter mapping: --n-fft = total subcarriers, --group-size =
 subcarriers per group, --active = active subcarriers per group,
 --mod-order = constellation order.
 
-Exit codes: 0 success, 2 invalid configuration or malformed input (an
+Exit codes: 0 success, 2 a command line that argparse refuses (one line,
+not the usage), invalid configuration or malformed input (an
 --out that names no file among them), a run
 whose largest array would hold more than ccdf.MAX_PLAN_ELEMENTS values, or
 an analyze-perm run over MAX_MU_GRID_VALUES grid values; 3 unwritable
@@ -67,6 +68,25 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``CliError`` line, exit 2, like
+    every other refusal; the subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        raise CliError(2, f"{self.prog}: {message}")
+
+
+def _seed(text: str) -> int:
+    """The --seed of every subcommand: any nonnegative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _add_config_args(p: argparse.ArgumentParser, active_default=None):
     p.add_argument("--n-fft", type=int, default=64, help="total subcarriers (power of two)")
     p.add_argument("--group-size", type=int, default=16, help="subcarriers per group")
@@ -102,7 +122,12 @@ def _parse_gamma(spec: str) -> np.ndarray:
         raise CliError(2, f"bad gamma spec {spec!r}, expected start:stop:step with step > 0")
     if count > MAX_GAMMA_POINTS:
         raise CliError(2, f"gamma spec {spec!r} gives {count} points, more than {MAX_GAMMA_POINTS}")
-    return np.round(start + step * np.arange(count), 9)
+    try:
+        # rounding to 9 decimals scales by 10^9, which overflows beyond about 1.8e299
+        with np.errstate(over="raise", invalid="raise"):
+            return np.round(start + step * np.arange(count), 9)
+    except FloatingPointError:
+        raise CliError(2, f"gamma spec {spec!r} overflows when its points are rounded to 9 decimals")
 
 
 def _check_array_size(rows: int, cols: int):
@@ -402,7 +427,7 @@ def cmd_verify_var_rho(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
     later one in the process: each ``parse_args`` fills a new namespace."""
-    parser = argparse.ArgumentParser(prog="ofdm-im-slm", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="ofdm-im-slm", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"ofdm-im-slm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -415,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pss-alphabet", choices=("binary", "quaternary", "continuous"), default="quaternary")
     p.add_argument("--sap-source", choices=("uniform", "bits"), default="uniform")
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--gamma", default="4:13:0.1", help="gamma grid start:stop:step in dB")
+    p.add_argument("--seed", type=_seed, default=1)
+    p.add_argument("--gamma", default="4:13:0.1",
+                   help="gamma grid start:stop:step in dB; write a negative start as --gamma=-3:10:1")
     p.add_argument("--oversample", type=int, default=1)
     p.add_argument("--workers", type=int, default=1, help="worker processes, >= 1 (at most one per batch is started)")
     p.add_argument("--out", required=True, help="output base path; writes <out>.csv and <out>.json")
@@ -427,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm-file", default=None, help="permutation set JSON file")
     p.add_argument("--kind", choices=("identity", "random"), default="random")
     p.add_argument("--u", type=int, default=2)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--out", default=None, help="write the report as JSON")
     p.set_defaults(func=cmd_analyze_perm)
 
@@ -439,14 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, default=2)
     p.add_argument("--pair", type=int, nargs=2, default=(0, 1), metavar=("U", "V"))
     p.add_argument("--sap-file", default=None, help="SAP JSON file (default: random SAP from --seed)")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze_pss)
 
     p = sub.add_parser("verify-var-rho", help="analytic vs empirical variance of rho(m)")
     _add_config_args(p, active_default=2)
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--m-values", default=None, help="comma-separated lags (default: all)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_var_rho)
@@ -455,8 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # --help and --version still print and raise SystemExit(0)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -268,17 +268,20 @@ class SlmResult:
 _TILE_OUTPUTS = 1 << 15
 
 
-def _candidate_signals(blocks, pss_seq, perm_inv, padded=None, out=None):
+def _candidate_signals(blocks, pss_seq, perm_inv, gathered=None, padded=None, out=None):
     """Unnormalised IDFT of every SLM candidate: (..., N) blocks -> (..., U, width).
 
-    Candidate u gathers the block by perm_inv[u] and multiplies by phase row
-    u. With a zeroed ``padded`` buffer of the output shape, the spectrum is
-    copied into its low band and, from index N/2 on as negative
-    frequencies, its high band first. One FFT transforms all candidates,
-    without the 1/width factor, into ``out``, or else in place over the
-    spectrum it transforms (``padded``, if given).
+    Candidate u gathers the block by perm_inv[u], into ``gathered`` if it is
+    given, and multiplies by phase row u. The gather clips perm_inv instead
+    of checking it, because numpy's checked mode copies through a temporary
+    array of the output's size; every caller's rows are permutations. With
+    a zeroed ``padded`` buffer of the output shape, the spectrum is copied
+    into its low band and, from index N/2 on as negative frequencies, its
+    high band first. One FFT transforms all candidates, without the 1/width
+    factor, into ``out``, or else in place over the spectrum it transforms
+    (``padded``, if given).
     """
-    spectrum = np.take(blocks, perm_inv, axis=-1)
+    spectrum = np.take(blocks, perm_inv, axis=-1, out=gathered, mode="clip")
     spectrum *= pss_seq
     if padded is not None:
         n, width = spectrum.shape[-1], padded.shape[-1]
@@ -291,7 +294,8 @@ def _candidate_signals(blocks, pss_seq, perm_inv, padded=None, out=None):
 
 def candidate_paprs_db(
     positions: np.ndarray,
-    values: np.ndarray,
+    symbol_index: np.ndarray,
+    symbols: np.ndarray,
     n_fft: int,
     pss_seq: np.ndarray,
     perm_inv: np.ndarray,
@@ -300,43 +304,62 @@ def candidate_paprs_db(
 ) -> np.ndarray:
     """PAPR in dB of every SLM candidate: (rows, K) drawn patterns -> (rows, U).
 
-    Row r stands for the length-``n_fft`` block that holds values[r] at the
-    subcarriers positions[r] (distinct within a row) and zeros elsewhere; a
-    dense block is ``positions = np.broadcast_to(np.arange(n_fft), shape)``.
-    Candidate u gathers the block by the inverse of permutation u (entry i
-    lands at d_u[i]), multiplies by phase row u and applies the IDFT,
-    zero-padded by ``oversample`` with indices at or above N/2 as negative
-    frequencies (the layout of ``core.oversampled_idft``).
+    Row r stands for the length-``n_fft`` block that holds
+    symbols[symbol_index[r]] at the subcarriers positions[r] (distinct within
+    a row) and zeros elsewhere; a dense (rows, N) block is ``symbols =
+    blocks.reshape(-1)`` with ``symbol_index = np.arange(rows * N).reshape(rows, N)``
+    and ``positions = np.broadcast_to(np.arange(N), (rows, N))``. Candidate u
+    gathers the block by the inverse of permutation u (entry i lands at
+    d_u[i]), multiplies by phase row u and applies the IDFT, zero-padded by
+    ``oversample`` with indices at or above N/2 as negative frequencies (the
+    layout of ``core.oversampled_idft``).
 
     The blocks are assembled one tile at a time: the tile's rows of a
-    (tile, N) buffer are zeroed and its values written with one flat index
-    write, so no (rows, N) array is ever built. Each tile then goes through
-    the candidate stage that ``slm_select`` shares: one gather, one phase
-    multiply and one batched FFT without normalisation. Only the peak powers
-    are kept; the unitary factor 1/N scales those peaks alone. The block,
-    padded spectrum, signal and power buffers are allocated once per call
-    and reused by every tile, so the zero band is written once. When N is a
-    power of 4 and ``oversample`` a power of 2 every scale factor is a power
-    of two, and the result is bit-identical to taking the peaks of
+    (tile, N) buffer are zeroed, its symbols looked up from its indices and
+    written with one flat index write, so neither a (rows, N) block nor a
+    (rows, K) array of symbol values is ever built. Each tile then goes
+    through the candidate stage that ``slm_select`` shares: one gather, one
+    phase multiply and one batched FFT without normalisation. Only the peak
+    powers are kept; the unitary factor 1/N scales those peaks alone. The
+    block, gather (the signal buffer itself without oversampling), padded
+    spectrum, signal and power buffers are allocated once per call and
+    reused by every tile, so the zero band is written once and no tile
+    allocates an array of its own size. When N is a power of 4 and
+    ``oversample`` a power of 2 every scale factor is a power of two, and
+    the result is bit-identical to taking the peaks of
     ``core.oversampled_idft``.
     """
     if oversample < 1 or int(oversample) != oversample:
         raise ValueError("oversampling factor must be a positive integer")
-    positions, values = np.asarray(positions), np.asarray(values)
+    positions, symbol_index, symbols = np.asarray(positions), np.asarray(symbol_index), np.asarray(symbols)
     n, u = int(n_fft), pss_seq.shape[0]
-    if positions.ndim != 2 or positions.shape != values.shape:
-        raise ValueError(f"positions {positions.shape} and values {values.shape} must be the same (rows, K) shape")
+    if positions.ndim != 2 or positions.shape != symbol_index.shape or symbols.ndim != 1:
+        raise ValueError(
+            f"positions {positions.shape} and symbol indices {symbol_index.shape} must be the same (rows, K) "
+            f"shape, and the symbols {symbols.shape} one row"
+        )
     if positions.size and (positions.min() < 0 or positions.max() >= n):
         raise ValueError(f"positions must lie in 0..{n - 1}")
+    # a negative index would wrap round to the end of the constellation
+    if symbol_index.size and (symbol_index.min() < 0 or symbol_index.max() >= symbols.size):
+        raise ValueError(f"symbol indices must lie in 0..{symbols.size - 1}")
+    # the candidate gather clips its indices instead of checking them
+    perm_inv = np.asarray(perm_inv)
+    if perm_inv.shape != (u, n) or perm_inv.min() < 0 or perm_inv.max() >= n:
+        raise ValueError(f"perm_inv must be {u} x {n} indices in 0..{n - 1}")
     rows, width = positions.shape[0], n * int(oversample)
     step = max(1, _TILE_OUTPUTS // (u * width))
     tile = min(rows, step)
     block = np.empty((tile, n), dtype=complex)
     block_flat = block.reshape(-1)
-    # flat offset of each block row, for the scatter of the drawn values
+    # flat offset of each block row, for the scatter of the tile's symbols
     row_offsets = np.arange(0, tile * n, n).reshape(tile, 1)
     padded = np.zeros((tile, u, width), dtype=complex) if width > n else None
     signal = np.empty((tile, u, width), dtype=complex)
+    # without padding the candidates are gathered into the signal buffer and
+    # transformed in place; a gather that allocated per tile made glibc give
+    # its heap back and fault it in again, tile after tile
+    gathered = signal if padded is None else np.empty((tile, u, n), dtype=complex)
     power = np.empty((tile, u, width))
     # flat offset of each candidate row in power, for the peak gather below
     row_starts = np.arange(0, tile * u * width, width).reshape(tile, u)
@@ -344,8 +367,8 @@ def candidate_paprs_db(
     for start in range(0, rows, step):
         t = min(step, rows - start)
         block[:t] = 0
-        block_flat[row_offsets[:t] + positions[start : start + t]] = values[start : start + t]
-        _candidate_signals(block[:t], pss_seq, perm_inv, None if padded is None else padded[:t], signal[:t])
+        block_flat[row_offsets[:t] + positions[start : start + t]] = symbols[symbol_index[start : start + t]]
+        _candidate_signals(block[:t], pss_seq, perm_inv, gathered[:t], None if padded is None else padded[:t], signal[:t])
         # |x|^2 as re^2 + im^2: square the float view in place, add into power
         parts = signal[:t].view(np.float64)
         np.square(parts, out=parts)

@@ -83,10 +83,20 @@ def test_plan_validation():
         make_plan(gamma=np.array([]))
     with pytest.raises(ValueError, match="increasing"):
         make_plan(gamma=np.array([5.0, 5.0, 6.0]))
+    with pytest.raises(ValueError, match="increasing"):
+        make_plan(gamma=np.array([6.0, 5.0]))
     with pytest.raises(ValueError, match="trials"):
         make_plan(trials=0)
     with pytest.raises(ValueError, match="oversample"):
         make_plan(oversample=0)
+
+
+@pytest.mark.parametrize("gamma", [[np.nan], [np.nan, np.nan], [1.0, np.nan, 2.0], [np.inf, np.inf],
+                                   [1.0, np.inf], [-np.inf, 1.0], [4.0, 5.0, np.nan]])
+def test_plan_refuses_a_non_finite_gamma_grid(gamma):
+    # a NaN difference is not <= 0, so "no difference <= 0" let these through
+    with pytest.raises(ValueError, match="finite"):
+        make_plan(gamma=np.array(gamma))
 
 
 def test_curve_validation():
@@ -239,7 +249,10 @@ def dense_batch_counts(plan, batch_index):
     block = np.zeros((size, cfg.n_fft), dtype=complex)
     np.put_along_axis(block, pos, symbols[sym_idx], axis=1)
     dense = np.broadcast_to(np.arange(cfg.n_fft), block.shape)
-    paprs = candidate_paprs_db(dense, block, cfg.n_fft, pss.sequences, perms.inverse, cfg.mean_power, plan.oversample)
+    every_entry = np.arange(block.size).reshape(block.shape)
+    paprs = candidate_paprs_db(
+        dense, every_entry, block.reshape(-1), cfg.n_fft, pss.sequences, perms.inverse, cfg.mean_power, plan.oversample
+    )
     return _exceedance_counts(paprs.min(axis=-1), plan.gamma_db)
 
 
@@ -279,6 +292,23 @@ def test_batch_holds_no_block_of_the_whole_batch():
     finally:
         tracemalloc.stop()
     assert peak < BATCH_TRIALS * cfg.n_fft * 16 // 4
+
+
+def test_batch_holds_no_array_of_symbol_values():
+    # at k=14 a batch draws 4096 x 896 positions (28 MiB as intp) and symbol
+    # indices (14 MiB as int32); mapped to complex symbols all at once they
+    # would add 56 MiB, which is the 98 MiB peak of mapping them per batch
+    cfg = SystemConfig(n_fft=1024, group_size=16, active=14, mod_order=4)
+    scheme = SchemeDescriptor(mode="slm", u=4, pss_kind="random", perm_kind="random")
+    plan = make_plan(cfg=cfg, scheme=scheme, trials=BATCH_TRIALS, seed=3)
+    plan.generator_sets
+    tracemalloc.start()
+    try:
+        _batch_counts(plan, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
 
 
 @pytest.mark.parametrize("sap_source", SAP_SOURCES)

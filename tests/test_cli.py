@@ -232,6 +232,26 @@ def test_ccdf_bad_gamma_step_exit_2(tmp_path, capsys, spec):
     assert_clean_exit_2(rc, capsys, tmp_path)
 
 
+@pytest.mark.parametrize("spec", ["1e300:1e301:1e299", "0:1e308:1e307", "1.8e299:1.9e299:1e298"])
+def test_ccdf_gamma_grid_that_overflows_exit_2(tmp_path, capsys, spec):
+    # rounding to 9 decimals scales each point by 10^9: beyond about 1.8e299
+    # that was inf, written as an all-inf gamma column after two warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["ccdf", *BASE, "--gamma", spec, "--trials", "10", "--out", str(tmp_path / "x")])
+    assert_clean_exit_2(rc, capsys, tmp_path)
+    # huge finite points that round without overflow are a valid grid
+    assert np.all(np.isfinite(cli._parse_gamma("1e290:1e291:1e289")))
+
+
+def test_ccdf_negative_gamma_start_with_equals(tmp_path):
+    # argparse reads a value that starts with "-" and is no plain number as a flag
+    rc = run_cli(["ccdf", *BASE, "--gamma=-3:10:1", "--trials", "200", "--out", str(tmp_path / "g")])
+    assert rc == 0
+    lines = (tmp_path / "g.csv").read_text().strip().split("\n")
+    assert len(lines) == 1 + 14 and lines[1].startswith("-3,")
+
+
 @pytest.mark.parametrize("spec", ["0:1e12:1", f"0:{cli.MAX_GAMMA_POINTS}:1"])
 def test_ccdf_gamma_grid_beyond_the_cap_exit_2(tmp_path, capsys, spec):
     # 10^12 points would need 7.28 TiB; the point count is checked before
@@ -338,7 +358,13 @@ def test_ccdf_ctrl_c_ends_a_two_worker_run_with_one_line(tmp_path):
 # each value is valid in at least three draws of four, so that runs that
 # succeed are common too
 SMALL_INT = st.sampled_from(["1", "2"]) | st.sampled_from(["-1", "0", "1", "2"])
-GAMMA = st.sampled_from(["4:13:0.1", "0:20:1", "5:5:1"]) | st.sampled_from(["13:4:0.1", "4:13:0", "4:inf:0.1", "nan:1:1"])
+# huge finite bounds too, whose points overflow when rounded to 9 decimals
+# ("1e290:…" does not)
+GAMMA = (st.sampled_from(["4:13:0.1", "0:20:1", "5:5:1", "1e290:1e291:1e289"])
+         | st.sampled_from(["13:4:0.1", "4:13:0", "4:inf:0.1", "nan:1:1"])
+         | st.sampled_from(["1e300:1e301:1e299", "0:1e308:1e307", "1.8e299:1.9e299:1e298"]))
+# negative seeds, and seeds of 64 bits and more, which numpy takes
+SEED = st.integers(-3, 3).map(str) | st.integers((1 << 64) - 1, 1 << 66).map(str)
 
 
 def just_above_the_cap(opts: dict, which: str) -> dict:
@@ -380,7 +406,7 @@ def ccdf_argvs(draw):
     opts.update({
         "--sap-source": draw(st.sampled_from(["uniform", "bits"])),
         "--trials": draw(SMALL_INT), "--workers": draw(SMALL_INT), "--oversample": draw(SMALL_INT),
-        "--gamma": draw(GAMMA), "--seed": str(draw(st.integers(0, 3))),
+        "--gamma": draw(GAMMA), "--seed": draw(SEED),
     })
     knobs = ["--u", "--oversample", "--n-fft", "--mod-order"]
     oversized = draw(st.sampled_from(knobs)) if draw(st.integers(0, 3)) == 0 else None
@@ -427,6 +453,59 @@ def test_ccdf_any_small_invocation_ends_cleanly(case, writable):
             doc = json.load(f)
         assert doc["trials"] == trials and doc["seed"] == int(opts["--seed"])
         assert len(doc["gamma_db"]) == len(rows) - 1
+
+
+# a value each integer flag should refuse, besides the out-of-range ones
+MALFORMED_INT = st.sampled_from(["1.5", "x", ""])
+
+
+@st.composite
+def analysis_argvs(draw, command):
+    """analyze-perm, analyze-pss or verify-var-rho argument lists with
+    n_fft <= 64, any group split, tiny counts, and now and then a malformed
+    integer or an unknown flag."""
+    n_fft = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    group_size = draw(st.sampled_from([g for g in (2, 4, 8, 16, 32, 64) if g <= n_fft]))
+    opts = {"--n-fft": str(n_fft), "--group-size": str(group_size),
+            "--active": str(draw(st.integers(0, group_size))),
+            "--mod-order": draw(st.sampled_from(["2", "4", "16"])),
+            "--seed": draw(SEED | MALFORMED_INT)}
+    small = SMALL_INT | MALFORMED_INT
+    if command == "analyze-perm":
+        opts.update({"--kind": draw(st.sampled_from(["identity", "random", "pinned"])), "--u": draw(small)})
+    elif command == "analyze-pss":
+        opts.update({"--pss": draw(st.sampled_from(["random", "hadamard"])),
+                     "--pss-alphabet": draw(st.sampled_from(["binary", "quaternary", "continuous"])),
+                     "--u": draw(small)})
+    else:
+        opts.update({"--trials": draw(small),
+                     "--m-values": draw(st.sampled_from(["0", "0,1", str(n_fft - 1), str(n_fft), "-1", "1,,2", ""]))})
+    argv = [command, *(x for item in opts.items() for x in item)]
+    if command == "analyze-pss":
+        argv += ["--pair", *draw(st.lists(st.sampled_from(["-1", "0", "1", "2"]), min_size=2, max_size=2))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "--trials=1", "--u=2"])))
+    return argv
+
+
+@pytest.mark.parametrize("command", ["analyze-perm", "analyze-pss", "verify-var-rho"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_analysis_any_small_invocation_ends_cleanly(command, data):
+    """Exit 0 with the output written, or exit 2/3 with one stderr line and
+    nothing left in the output directory; never a traceback or SystemExit."""
+    argv = data.draw(analysis_argvs(command), label="argv")
+    writable = data.draw(st.booleans(), label="writable")
+    with tempfile.TemporaryDirectory() as root:
+        outdir = root if writable else os.path.join(root, "missing")
+        rc, err = run_quietly([*argv, "--out", os.path.join(outdir, "out.txt")])
+        left = sorted(os.listdir(root))
+    if rc != 0:
+        assert rc in (2, 3), err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert left == []
+    else:
+        assert writable and left == ["out.txt"] and err == ""
 
 
 def test_ccdf_gamma_flag(tmp_path):
@@ -842,3 +921,47 @@ def test_version_flag(capsys):
         run_cli(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+SUBCOMMAND_ARGVS = {
+    "ccdf": ["ccdf", *BASE, "--trials", "10"],
+    "verify-var-rho": ["verify-var-rho", *BASE, "--trials", "10"],
+    "analyze-pss": ["analyze-pss", *BASE],
+    "analyze-perm": ["analyze-perm", *BASE],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", "-18446744073709551616", "1.5", "x"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGVS))
+def test_seed_that_is_no_nonnegative_integer_exit_2(tmp_path, capsys, command, seed):
+    # analyze-pss and analyze-perm gave a numpy traceback for -1, exit 1
+    rc = run_cli([*SUBCOMMAND_ARGVS[command], "--seed", seed, "--out", str(tmp_path / "x.out")])
+    assert rc == 2 and list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err == f"error: ofdm-im-slm {command}: argument --seed: must be a nonnegative integer, got {seed!r}\n"
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGVS))
+def test_seed_beyond_64_bits_runs(tmp_path, command):
+    assert run_cli([*SUBCOMMAND_ARGVS[command], "--seed", str(1 << 70), "--out", str(tmp_path / "x.out")]) == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ccdf", "--trials", "10"], "ofdm-im-slm ccdf: the following arguments are required: --out"),
+    (["ccdf", "--trials", "ten", "--out", "x"], "ofdm-im-slm ccdf: argument --trials: invalid int value: 'ten'"),
+    (["ccdf", "--out", "x", "--bogus"], "ofdm-im-slm: unrecognized arguments: --bogus"),
+    (["ccdf", "--gamma", "-3:10:1", "--out", "x"], "ofdm-im-slm ccdf: argument --gamma: expected one argument"),
+    (["analyze-pss", "--pair", "1", "--out", "x"], "ofdm-im-slm analyze-pss: argument --pair: expected 2 arguments"),
+    (["verify-var-rho", "--scheme", "slm"], "ofdm-im-slm: unrecognized arguments: --scheme slm"),
+    (["nosuch"], "ofdm-im-slm: argument command: invalid choice: 'nosuch'"),
+    ([], "ofdm-im-slm: the following arguments are required: command"),
+])
+def test_command_line_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    # argparse printed the usage too, 3 to 10 lines, and raised SystemExit
+    # out of main where every other refusal returns its code
+    monkeypatch.chdir(tmp_path)
+    rc = run_cli(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -48,10 +48,13 @@ def random_block(cfg, seed=0):
 
 
 def dense_paprs(blocks, pss_seq, perm_inv, mean_power, oversample=1):
-    """``candidate_paprs_db`` of dense (rows, N) blocks: every subcarrier is a position."""
+    """``candidate_paprs_db`` of dense (rows, N) blocks: every subcarrier is a
+    position, and every entry its own symbol."""
     blocks = np.asarray(blocks)
-    positions = np.broadcast_to(np.arange(blocks.shape[-1]), blocks.shape)
-    return candidate_paprs_db(positions, blocks, blocks.shape[-1], pss_seq, perm_inv, mean_power, oversample)
+    rows, n = blocks.shape
+    positions = np.broadcast_to(np.arange(n), blocks.shape)
+    symbol_index = np.arange(rows * n).reshape(rows, n)
+    return candidate_paprs_db(positions, symbol_index, blocks.reshape(-1), n, pss_seq, perm_inv, mean_power, oversample)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +388,13 @@ def test_candidate_paprs_batch_matches_single_blocks():
     for t in range(5):
         single = dense_paprs(blocks[t : t + 1], pss.sequences, perm_inv, CFG.mean_power)
         assert np.array_equal(single, batch[t : t + 1])
-    # the drawn form: only the active subcarriers, in any order within a row
+    # the drawn form: only the active subcarriers, in any order within a row,
+    # each with the index of its symbol
+    symbols = Constellation.psk(4).symbols
     active = np.array([np.flatnonzero(b)[::-1] for b in blocks])
-    sparse = candidate_paprs_db(
-        active, np.take_along_axis(blocks, active, axis=1), CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power
-    )
+    symbol_index = np.abs(np.take_along_axis(blocks, active, axis=1)[..., None] - symbols).argmin(axis=-1)
+    assert np.array_equal(symbols[symbol_index], np.take_along_axis(blocks, active, axis=1))
+    sparse = candidate_paprs_db(active, symbol_index, symbols, CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power)
     assert np.array_equal(sparse, batch)
     # oversampling only adds samples between the Nyquist-rate ones
     over = dense_paprs(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=4)
@@ -399,14 +404,49 @@ def test_candidate_paprs_batch_matches_single_blocks():
     assert np.array_equal(real, dense_paprs(blocks.real + 0j, pss.sequences, perm_inv, CFG.mean_power))
     with pytest.raises(ValueError, match="oversampling"):
         dense_paprs(blocks, pss.sequences, perm_inv, CFG.mean_power, oversample=0)
-    # a position outside the block, or values that do not match the positions
+    # a position outside the block, or indices that do not match the positions
     for bad in (-1, CFG.n_fft):
         wrong = active.copy()
         wrong[2, 1] = bad
         with pytest.raises(ValueError, match="positions must lie"):
-            candidate_paprs_db(wrong, blocks[:, :8], CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power)
+            candidate_paprs_db(wrong, symbol_index, symbols, CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power)
     with pytest.raises(ValueError, match="same"):
-        candidate_paprs_db(active, blocks[:, :7], CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power)
+        candidate_paprs_db(active, symbol_index[:, :7], symbols, CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power)
+
+
+@pytest.mark.parametrize("bad", [-1, -4, 4, 5, np.iinfo(np.int32).max, np.iinfo(np.int32).min])
+def test_candidate_paprs_refuse_a_symbol_index_outside_the_constellation(bad):
+    # -1 would read the last symbol and 4 would be a numpy IndexError; either
+    # is a ValueError before any tile is built, in the first or last tile
+    rng = np.random.default_rng(21)
+    pss = gen_random_pss(CFG, 4, rng)
+    perm_inv = gen_perm_set(CFG, 4, "random", rng).inverse
+    symbols = Constellation.psk(4).symbols
+    positions = np.tile(np.arange(8), (300, 1))
+    for row in (0, 299):
+        symbol_index = rng.integers(0, 4, size=positions.shape, dtype=np.int32)
+        symbol_index[row, 3] = bad
+        with pytest.raises(ValueError, match=r"symbol indices must lie in 0\.\.3"):
+            candidate_paprs_db(positions, symbol_index, symbols, CFG.n_fft, pss.sequences, perm_inv, CFG.mean_power)
+    # the symbols must be one row
+    with pytest.raises(ValueError, match="one row"):
+        candidate_paprs_db(positions, symbol_index % 4, symbols[None], CFG.n_fft, pss.sequences, perm_inv, 1.0)
+
+
+@pytest.mark.parametrize("bad", [-1, CFG.n_fft, "shape"])
+def test_candidate_paprs_refuse_inverse_permutations_outside_the_block(bad):
+    # the candidate gather clips its indices, so the kernel checks them first
+    rng = np.random.default_rng(22)
+    pss = gen_random_pss(CFG, 4, rng)
+    perm_inv = gen_perm_set(CFG, 4, "random", rng).inverse.copy()
+    if bad == "shape":
+        perm_inv = perm_inv[:3]
+    else:
+        perm_inv[3, 17] = bad
+    positions = np.tile(np.arange(8), (5, 1))
+    symbol_index = np.zeros(positions.shape, dtype=np.int32)
+    with pytest.raises(ValueError, match="perm_inv"):
+        candidate_paprs_db(positions, symbol_index, Constellation.psk(4).symbols, CFG.n_fft, pss.sequences, perm_inv, 1.0)
 
 
 @pytest.mark.parametrize("oversample", [1, 4])
