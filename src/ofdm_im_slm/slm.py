@@ -274,7 +274,8 @@ def _candidate_signals(blocks, pss_seq, perm_inv, gathered=None, padded=None, ou
     Candidate u gathers the block by perm_inv[u], into ``gathered`` if it is
     given, and multiplies by phase row u. The gather clips perm_inv instead
     of checking it, because numpy's checked mode copies through a temporary
-    array of the output's size; every caller's rows are permutations. With
+    array of the output's size: every caller checks that perm_inv holds
+    indices in 0..N-1 and that the block is N long. With
     a zeroed ``padded`` buffer of the output shape, the spectrum is copied
     into its low band and, from index N/2 on as negative frequencies, its
     high band first. One FFT transforms all candidates, without the 1/width
@@ -395,8 +396,15 @@ def slm_select(
     """
     if pss.u != perms.u:
         raise ValueError(f"pss has {pss.u} sequences but perms has {perms.u}")
-    signals = _candidate_signals(np.asarray(block, dtype=complex), pss.sequences, perms.inverse)
-    n = signals.shape[-1]
+    block = np.asarray(block, dtype=complex)
+    n = perms.perms.shape[1]
+    # the candidate gather clips its indices, so a shorter block is refused here
+    if block.shape != (n,) or pss.n_fft != n:
+        raise ValueError(
+            f"block of shape {block.shape} and phase sequences of length {pss.n_fft} "
+            f"must be one row of the permutation length {n}"
+        )
+    signals = _candidate_signals(block, pss.sequences, perms.inverse)
     power = np.square(signals.real)
     power += np.square(signals.imag)
     paprs = 10.0 * np.log10(power.max(axis=-1) * (1.0 / n) / cfg.mean_power)

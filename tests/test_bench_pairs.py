@@ -14,8 +14,12 @@ RSS = {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}
 RATE = {"name": "trials_per_s", "better": "higher", "bound": 0.25}
 
 
+def run(value, name="peak_rss_mb", failed=0):
+    return {"correct": failed == 0, "attempted": 100, "failed": failed, name: value}
+
+
 def pairs_of(parent, change, name="peak_rss_mb"):
-    return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
+    return [{"parent": run(p, name), "change": run(c, name)} for p, c in zip(parent, change)]
 
 
 def test_nine_of_ten_wins_and_a_gap_over_the_parent_iqr_meet_the_rule():
@@ -47,6 +51,38 @@ def test_ties_count_for_neither_side_and_higher_is_better_for_rates():
 
 def test_a_failed_run_is_left_out_of_the_pairs():
     pairs = pairs_of([42.0, 42.0], [41.0, 41.0])
-    pairs.append({"parent": {"peak_rss_mb": 42.0}, "change": {"correct": False, "error": "exit 1"}})
-    assert bench_pairs.compare(pairs, RSS)["pairs"] == 2
-    assert bench_pairs.compare([], RSS) == {"pairs": 0}
+    pairs.append({"parent": run(42.0), "change": {"correct": False, "error": "exit 1"}})
+    # a run that printed correct: false is not compared either, whatever it measured
+    pairs.append({"parent": run(42.0), "change": run(30.0, failed=1)})
+    m = bench_pairs.compare(pairs, RSS)
+    assert m["pairs"] == 2 and m["pairs_run"] == 4 and m["change"]["median"] == 41.0
+    assert bench_pairs.compare([], RSS) == {"pairs_run": 0, "pairs": 0}
+
+
+def test_too_few_pairs_never_meet_the_rule():
+    for n in range(1, 10):
+        m = bench_pairs.compare(pairs_of([42.0 + 0.1 * i for i in range(n)], [41.0] * n), RSS)
+        assert m["change_wins"] == n and not m["gain_rule_met"]
+
+
+def test_wins_count_over_every_pair_run():
+    parent = [42.0, 42.1, 42.2, 42.2, 42.2, 42.3, 42.2, 42.1, 42.2, 42.3]
+    pairs = pairs_of(parent, [41.5] * 10)
+    pairs[3]["change"] = {"correct": False, "error": "exit 1"}
+    pairs[7]["parent"] = {"correct": False, "error": "exit 1"}
+    m = bench_pairs.compare(pairs, RSS)
+    # the change won all 8 pairs it could be compared on: 8 of 10 run
+    assert m["change_wins"] == 8 and m["pairs"] == 8 and m["pairs_run"] == 10 and not m["gain_rule_met"]
+
+
+def test_more_failed_operations_void_a_gain():
+    parent = [42.0, 42.1, 42.2, 42.2, 42.2, 42.3, 42.2, 42.1, 42.2, 42.3]
+    pairs = pairs_of(parent, [41.5] * 10)
+    assert bench_pairs.compare(pairs, RSS)["gain_rule_met"]
+    pairs.append({"parent": run(42.2), "change": run(41.5, failed=1)})
+    m = bench_pairs.compare(pairs, RSS)
+    assert m["failed"]["change"] == {"failed": 1, "attempted": 1100} and m["more_failures"]
+    assert m["change_wins"] == 10 and m["pairs_run"] == 11 and not m["gain_rule_met"]
+    # as many failures on both sides leave the rule as it was
+    pairs.append({"parent": run(42.2, failed=1), "change": run(41.5)})
+    assert not bench_pairs.compare(pairs, RSS)["more_failures"]

@@ -504,6 +504,14 @@ def test_slm_size_mismatch():
     block, _ = random_block(CFG, seed=13)
     with pytest.raises(ValueError, match="sequences"):
         slm_select(block, all_ones_pss(CFG), gen_perm_set(CFG, 2, "identity"), CFG)
+    # the candidate gather clips its indices: a short block must not reach it
+    pss, perms = all_ones_pss(CFG), gen_perm_set(CFG, 1, "identity")
+    for bad in (block[:-1], block[:1], np.append(block, 0), np.stack([block, block]), block[0]):
+        with pytest.raises(ValueError, match="permutation length"):
+            slm_select(bad, pss, perms, CFG)
+    short = PhaseSequenceSet(np.ones((1, CFG.n_fft // 2), dtype=complex))
+    with pytest.raises(ValueError, match="permutation length"):
+        slm_select(block, short, perms, CFG)
 
 
 def gen_perm_set_oracle(cfg, u, rng):
