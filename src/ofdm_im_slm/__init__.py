@@ -21,7 +21,6 @@ from .ccdf import (
     CcdfCurve,
     SchemeDescriptor,
     TrialPlan,
-    compare_curves,
     default_gamma_grid,
     instantiate_scheme,
     papr_at_ccdf,
@@ -32,12 +31,10 @@ from .core import (
     GroupSap,
     Sap,
     SystemConfig,
-    assemble_block,
     block_from_bits,
     dft,
     draw_active_positions,
     idft,
-    map_bits_to_group,
     oversampled_idft,
     papr_db,
     sample_random_sap,
@@ -50,15 +47,12 @@ from .slm import (
     PhaseSequenceSet,
     SlmResult,
     all_ones_pss,
-    apply_permutation,
     candidate_paprs_db,
     cyclic_hadamard_matrix,
     gen_hadamard_pss,
     gen_mls,
     gen_perm_set,
     gen_random_pss,
-    mls_plus_minus,
-    permute_sap,
     perm_set_from_json,
     perm_set_to_json,
     pss_from_json,

@@ -97,6 +97,8 @@ def var_rho_empirical_profile(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     N = cfg.n_fft
     tile = min(max(1, _VAR_RHO_TILE // N), chunk, trials)
     rho = np.empty((tile + 1, N), dtype=complex)
@@ -241,7 +243,7 @@ def cov_alt_signals(
     if pss.u < 2 or perms.u < 2:
         raise ValueError("need two candidates (u = 1, 2)")
     N = cfg.n_fft
-    active = sap.active_array()
+    active = np.asarray(sap.active, dtype=np.intp)
     p1, p2 = pss.sequences[0], pss.sequences[1]
     d1, d2 = np.asarray(perms.perms[0]), np.asarray(perms.perms[1])
 

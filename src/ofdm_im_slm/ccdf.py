@@ -36,7 +36,7 @@ import json
 import math
 import multiprocessing
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -321,66 +321,6 @@ def papr_at_ccdf(curve: CcdfCurve, target: float) -> float:
     p_lo = max(p[j], 0.5 / curve.trials)
     frac = (math.log10(p_hi) - math.log10(target)) / (math.log10(p_hi) - math.log10(p_lo))
     return float(gamma[j - 1] + frac * (gamma[j] - gamma[j - 1]))
-
-
-@dataclass(frozen=True)
-class CurveComparison:
-    """Pointwise deltas plus dB gaps at selected CCDF levels (a minus b)."""
-
-    gamma_db: np.ndarray
-    delta: np.ndarray
-    max_abs_delta: float
-    dominance: str
-    gaps_db: dict = field(default_factory=dict)
-
-
-def compare_curves(a: CcdfCurve, b: CcdfCurve, levels=(), min_count: int = 100) -> CurveComparison:
-    """Compare two curves on the same gamma grid.
-
-    ``dominance`` is judged only where both arms have at least ``min_count``
-    raw exceedances; ``gaps_db[level]`` is (gap, (lo, hi)) where the interval
-    comes from shifting each level by two binomial standard deviations.
-    """
-    if a.gamma_db.shape != b.gamma_db.shape or np.any(a.gamma_db != b.gamma_db):
-        raise ValueError("gamma grids differ")
-    delta = a.probabilities - b.probabilities
-    mask = (a.counts >= min_count) & (b.counts >= min_count)
-    if not np.any(mask):
-        dominance = "unresolved"
-    elif np.all(delta[mask] <= 0) and np.all(delta[mask] >= 0):
-        dominance = "equal"
-    elif np.all(delta[mask] <= 0):
-        dominance = "a<=b"
-    elif np.all(delta[mask] >= 0):
-        dominance = "b<=a"
-    else:
-        dominance = "crossing"
-    gaps = {}
-    for level in levels:
-        g_a, g_b = papr_at_ccdf(a, level), papr_at_ccdf(b, level)
-        lo, hi = _gap_interval(a, b, level)
-        gaps[level] = (g_a - g_b, (lo, hi))
-    return CurveComparison(
-        gamma_db=a.gamma_db,
-        delta=delta,
-        max_abs_delta=float(np.max(np.abs(delta))),
-        dominance=dominance,
-        gaps_db=gaps,
-    )
-
-
-def _shifted_targets(curve: CcdfCurve, level: float):
-    sigma = math.sqrt(level * (1.0 - level) / curve.trials)
-    hi_t = min(level + 2 * sigma, float(curve.probabilities[0]))
-    lo_t = max(level - 2 * sigma, curve.tail_resolution)
-    # papr_at_ccdf is decreasing in the target
-    return papr_at_ccdf(curve, hi_t), papr_at_ccdf(curve, lo_t)
-
-
-def _gap_interval(a: CcdfCurve, b: CcdfCurve, level: float):
-    a_lo, a_hi = _shifted_targets(a, level)
-    b_lo, b_hi = _shifted_targets(b, level)
-    return a_lo - b_hi, a_hi - b_lo
 
 
 # ---------------------------------------------------------------------------

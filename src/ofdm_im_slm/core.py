@@ -74,8 +74,7 @@ class SystemConfig:
 
         Group g's word is bits_per_group bits, g = 0 in the top bits: its
         pattern rank, then k symbol indices in row order. One rank shift per
-        group and k symbol shifts per group, in group order. The last group's
-        word is the lowest, so the last entries read a single group's word.
+        group and k symbol shifts per group, in group order.
         """
         G, p, k = self.num_groups, self.bits_per_group, self.active
         bps = self.mod_order.bit_length() - 1
@@ -167,9 +166,6 @@ class Sap:
                 raise ValueError(f"group rows out of range for cfg: {gs.rows}")
         return self
 
-    def active_array(self) -> np.ndarray:
-        return np.array(self.active, dtype=np.intp)
-
 
 # ---------------------------------------------------------------------------
 # combinadic (lexicographic k-subset ranking)
@@ -205,7 +201,7 @@ def subset_rank(rows, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bit mapping and block assembly
+# bit mapping
 
 # bytes 0/1 -> the characters "0"/"1", for int(..., 2)
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -233,34 +229,6 @@ def _bits_to_int(bits: list) -> int:
 def _group_sap(rank: int, n: int, k: int) -> GroupSap:
     """GroupSap of subset rank ``rank``; GroupSap is immutable, so one is shared."""
     return GroupSap(subset_unrank(rank, n, k))
-
-
-def _decode_words(word: int, cfg: SystemConfig, groups: int):
-    """GroupSaps and symbol indices of the last ``groups`` group words in ``word``.
-
-    The symbol indices come as one list, k per group in group order and, within
-    a group, in row order. groups == cfg.num_groups decodes a whole block.
-    """
-    rank_mask, symbol_mask, rank_at, symbol_at = cfg._word_fields
-    n, k = cfg.group_size, cfg.active
-    gsaps = [_group_sap((word >> at) & rank_mask, n, k) for at in rank_at[-groups:]]
-    return gsaps, [(word >> at) & symbol_mask for at in symbol_at[-groups * k :]]
-
-
-def map_bits_to_group(bits, cfg: SystemConfig, cs: Constellation):
-    """Map one p-bit word to (GroupSap, active-row symbols).
-
-    The first index_bits select the row subset by lexicographic unranking;
-    the remaining symbol_bits select one constellation point per active row,
-    in row order, MSB first.
-    """
-    bits = list(bits)
-    if len(bits) != cfg.bits_per_group:
-        raise ValueError(f"expected {cfg.bits_per_group} bits, got {len(bits)}")
-    if cs.order != cfg.mod_order:
-        raise ValueError("constellation order does not match cfg.mod_order")
-    gsaps, symbols = _decode_words(_bits_to_int(bits), cfg, 1)
-    return gsaps[0], cs.symbols[symbols]
 
 
 # values per in-place shuffle call of draw_active_positions: one 512 KiB buffer
@@ -307,43 +275,26 @@ def sample_random_sap(cfg: SystemConfig, rng: np.random.Generator) -> Sap:
     return Sap(tuple(GroupSap(sorted(rng.permuted(rows)[: cfg.active].tolist())) for _ in range(cfg.num_groups)))
 
 
-def assemble_block(groups, cfg: SystemConfig):
-    """Interleave G (GroupSap, symbols) pairs into a length-N block.
-
-    Placement rule: block[G*r + g] = symbols of group g at its r-th active row.
-    Returns (block, Sap).
-    """
-    if len(groups) != cfg.num_groups:
-        raise ValueError(f"expected {cfg.num_groups} groups, got {len(groups)}")
-    G = cfg.num_groups
-    block = np.zeros(cfg.n_fft, dtype=complex)
-    saps = []
-    for g, (gsap, symbols) in enumerate(groups):
-        if len(symbols) != len(gsap.rows):
-            raise ValueError("one symbol per active row required")
-        for r, s in zip(gsap.rows, symbols):
-            block[G * r + g] = s
-        saps.append(gsap)
-    return block, Sap(tuple(saps)).check(cfg)
-
-
 def block_from_bits(bits, cfg: SystemConfig, cs: Constellation):
-    """Map G*bits_per_group bits to a full block: one word per group, in group order.
+    """Map G*bits_per_group bits to a block and its Sap: one word per group, in group order.
 
-    Same block and Sap as ``assemble_block`` over ``map_bits_to_group`` of each
-    word, in one pass: the bits are checked and read once, and each symbol is
-    written straight into the block.
+    A group's first index_bits select its row subset by lexicographic
+    unranking; the remaining symbol_bits select one constellation point per
+    active row, in row order, MSB first. Group g's symbol at row r goes to
+    subcarrier G*r + g. The bits are checked and read as one integer.
     """
     bits = list(bits)
-    G, p = cfg.num_groups, cfg.bits_per_group
-    if len(bits) != p * G:
-        raise ValueError(f"expected {p * G} bits, got {len(bits)}")
+    G, n, k = cfg.num_groups, cfg.group_size, cfg.active
+    if len(bits) != cfg.bits_per_group * G:
+        raise ValueError(f"expected {cfg.bits_per_group * G} bits, got {len(bits)}")
     if cs.order != cfg.mod_order:
         raise ValueError("constellation order does not match cfg.mod_order")
-    gsaps, symbols = _decode_words(_bits_to_int(bits), cfg, G)
+    word = _bits_to_int(bits)
+    rank_mask, symbol_mask, rank_at, symbol_at = cfg._word_fields
+    gsaps = [_group_sap((word >> at) & rank_mask, n, k) for at in rank_at]
     points = cs.symbols.tolist()
     block = np.zeros(cfg.n_fft, dtype=complex)
-    symbols = iter(symbols)
+    symbols = iter([(word >> at) & symbol_mask for at in symbol_at])
     for g, gsap in enumerate(gsaps):
         for r in gsap.rows:
             block[G * r + g] = points[next(symbols)]

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GroupSap, Sap, SystemConfig
+from .core import SystemConfig
 
 # Feedback polynomials x^m + ... + 1 known to generate maximal-length
 # sequences, given as exponent tuples. Each entry is re-verified at
@@ -80,18 +80,13 @@ def gen_mls(spec: MlsSpec) -> np.ndarray:
     return out
 
 
-def mls_plus_minus(spec: MlsSpec) -> np.ndarray:
-    """+-1 image of the sequence (bit 0 -> +1, bit 1 -> -1)."""
-    return 1.0 - 2.0 * gen_mls(spec).astype(float)
-
-
 def cyclic_hadamard_matrix(degree: int) -> np.ndarray:
     """N x N +-1 matrix, N = 2^degree: all-ones border, circulant MLS core.
 
     Row u >= 1 is [1, b shifted left by u-1]; the two-valued autocorrelation
     of the sequence makes the rows mutually orthogonal.
     """
-    b = mls_plus_minus(MlsSpec(degree))
+    b = 1.0 - 2.0 * gen_mls(MlsSpec(degree)).astype(float)  # bit 0 -> +1, bit 1 -> -1
     size = b.size + 1
     h = np.ones((size, size))
     for s in range(size - 1):
@@ -153,6 +148,8 @@ def gen_random_pss(
 ) -> PhaseSequenceSet:
     """i.i.d. random phase sequences: binary +-1, quaternary +-1/+-j, or continuous phase."""
     n = cfg.n_fft
+    if u < 1:
+        raise ValueError(f"u={u} is not at least 1")
     if alphabet == "binary":
         seq = (1.0 - 2.0 * rng.integers(0, 2, (u, n))).astype(complex)
     elif alphabet == "quaternary":
@@ -184,9 +181,10 @@ class PermutationSet:
 
     def __post_init__(self):
         rows = np.atleast_2d(np.asarray(self.perms))
+        if rows.ndim != 2 or rows.shape[0] < 1:
+            raise ValueError("need a 2-D array of at least one permutation")
         # checked before the cast, so that an entry such as 2.5 or "2" is refused
-        numeric = rows.ndim == 2 and rows.dtype.kind in "iuf"
-        if not numeric or np.any(np.sort(rows, axis=1) != np.arange(rows.shape[1])):
+        if rows.dtype.kind not in "iuf" or np.any(np.sort(rows, axis=1) != np.arange(rows.shape[1])):
             raise ValueError("each row must be a permutation of 0..n_fft-1")
         object.__setattr__(self, "perms", rows.astype(np.intp, copy=False))
 
@@ -217,6 +215,8 @@ def gen_perm_set(
     identity: all rows are the identity (draws nothing)
     """
     N, n, G = cfg.n_fft, cfg.group_size, cfg.num_groups
+    if u < 1:
+        raise ValueError(f"u={u} is not at least 1")
     if kind == "identity":
         perms = np.tile(np.arange(N, dtype=np.intp), (u, 1))
     elif kind == "random":
@@ -230,25 +230,6 @@ def gen_perm_set(
     else:
         raise ValueError(f"unknown permutation kind {kind!r}")
     return PermutationSet(perms, kind=kind)
-
-
-def apply_permutation(block: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Move every entry i to position d[i]."""
-    block = np.asarray(block)
-    out = np.empty_like(block)
-    out[..., d] = block
-    return out
-
-
-def permute_sap(sap: Sap, d: np.ndarray, cfg: SystemConfig) -> Sap:
-    """Activation pattern of the permuted block, {d(i) : i active}."""
-    G = cfg.num_groups
-    d = np.asarray(d)
-    groups = []
-    for g, gs in enumerate(sap.groups):
-        rows = sorted(int(d[G * r + g] - g) // G for r in gs.rows)
-        groups.append(GroupSap(tuple(rows)))
-    return Sap(tuple(groups)).check(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,16 @@ def test_var_rho_empirical_rejects_bad_trials():
         var_rho_empirical_profile(CFG, 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_var_rho_profile_refuses_a_chunk_below_one(chunk):
+    # these ended in numpy's range() and empty() errors inside the chunk loop
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        var_rho_empirical_profile(CFG, 10, rng, chunk=chunk)
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # punctured spectra
 

@@ -13,7 +13,6 @@ from ofdm_im_slm import (
     TrialPlan,
     candidate_paprs_db,
     ccdf,
-    compare_curves,
     default_gamma_grid,
     draw_active_positions,
     instantiate_scheme,
@@ -31,6 +30,7 @@ from ofdm_im_slm.ccdf import (
     curve_csv_text,
     plan_json_doc,
 )
+from oracles import compare_curves
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
 CFG14 = SystemConfig(n_fft=64, group_size=16, active=14, mod_order=4)

@@ -14,21 +14,22 @@ from ofdm_im_slm import (
     GroupSap,
     Sap,
     SystemConfig,
-    assemble_block,
     block_from_bits,
     dft,
     draw_active_positions,
     idft,
-    map_bits_to_group,
     oversampled_idft,
     papr_db,
     sample_random_sap,
     subset_rank,
     subset_unrank,
 )
+from oracles import assemble_block
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
 CFG8 = SystemConfig(n_fft=8, group_size=4, active=2, mod_order=4)
+# one group: the block is the group's word, row r at subcarrier r
+CFG1 = SystemConfig(n_fft=16, group_size=16, active=2, mod_order=4)
 
 
 def idft_oracle(block):
@@ -108,23 +109,23 @@ def test_unrank_is_lexicographic():
 
 def test_map_bits_all_zero_word():
     cs = Constellation.psk(4)
-    gsap, symbols = map_bits_to_group([0] * CFG.bits_per_group, CFG, cs)
-    assert gsap.rows == (0, 1)
-    assert np.allclose(symbols, cs.symbols[0])
+    block, sap = block_from_bits([0] * CFG1.bits_per_group, CFG1, cs)
+    assert sap.groups[0].rows == (0, 1)
+    assert np.allclose(block[[0, 1]], cs.symbols[0])
 
 
 def test_map_bits_symbol_selection():
     cs = Constellation.psk(4)
     # index word 000001 -> subset rank 1 = {0, 2}; symbol words 01 and 10
     bits = [0, 0, 0, 0, 0, 1, 0, 1, 1, 0]
-    gsap, symbols = map_bits_to_group(bits, CFG, cs)
-    assert gsap.rows == (0, 2)
-    assert symbols[0] == cs.symbols[1] and symbols[1] == cs.symbols[2]
+    block, sap = block_from_bits(bits, CFG1, cs)
+    assert sap.groups[0].rows == (0, 2)
+    assert block[0] == cs.symbols[1] and block[2] == cs.symbols[2]
 
 
 def test_map_bits_wrong_length():
-    with pytest.raises(ValueError):
-        map_bits_to_group([0] * 3, CFG, Constellation.psk(4))
+    with pytest.raises(ValueError, match="expected 10 bits"):
+        block_from_bits([0] * 3, CFG1, Constellation.psk(4))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +212,6 @@ def test_block_from_bits_matches_brute_force_oracle(n_fft, group_size, active, m
         want_block, want_sap = encoder_oracle(bits, cfg, cs, subsets)
         assert block.dtype == want_block.dtype and np.array_equal(block, want_block)
         assert sap == want_sap
-        # the one-pass encoder is the per-group mapper plus assembly, to the byte
-        pairs = [map_bits_to_group(bits[g * p : (g + 1) * p], cfg, cs) for g in range(cfg.num_groups)]
-        two_step_block, two_step_sap = assemble_block(pairs, cfg)
-        assert block.tobytes() == two_step_block.tobytes() and sap == two_step_sap
 
 
 def test_block_from_bits_accepts_any_bit_equal_to_0_or_1():
@@ -238,7 +235,7 @@ def test_bit_mapping_rejects_non_bits(bad, at):
     with pytest.raises(ValueError, match="bits must be 0/1"):
         block_from_bits(bits, CFG, cs)
     with pytest.raises(ValueError, match="bits must be 0/1"):
-        map_bits_to_group(bits[at // 10 * 10 : at // 10 * 10 + 10], CFG, cs)
+        block_from_bits(bits[at // 10 * 10 : at // 10 * 10 + 10], CFG1, cs)
 
 
 def test_bit_mapping_length_and_constellation_errors():
@@ -251,7 +248,7 @@ def test_bit_mapping_length_and_constellation_errors():
         with pytest.raises(ValueError, match="constellation order"):
             block_from_bits([0] * width, CFG, Constellation.psk(order))
         with pytest.raises(ValueError, match="constellation order"):
-            map_bits_to_group([0] * CFG.bits_per_group, CFG, Constellation.psk(order))
+            block_from_bits([0] * CFG1.bits_per_group, CFG1, Constellation.psk(order))
     # the constellation is checked before the bits, as when each group was mapped in turn
     with pytest.raises(ValueError, match="constellation order"):
         block_from_bits([2] * width, CFG, Constellation.psk(2))

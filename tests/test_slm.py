@@ -12,8 +12,6 @@ from ofdm_im_slm import (
     PhaseSequenceSet,
     SystemConfig,
     all_ones_pss,
-    apply_permutation,
-    assemble_block,
     candidate_paprs_db,
     cyclic_hadamard_matrix,
     gen_hadamard_pss,
@@ -21,17 +19,16 @@ from ofdm_im_slm import (
     gen_perm_set,
     gen_random_pss,
     idft,
-    mls_plus_minus,
     oversampled_idft,
     papr_db,
     perm_set_from_json,
     perm_set_to_json,
-    permute_sap,
     pss_from_json,
     pss_to_json,
     punctured_spectrum,
     slm_select,
 )
+from oracles import apply_permutation, assemble_block, permute_sap
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
 CFG8 = SystemConfig(n_fft=8, group_size=4, active=2, mod_order=4)
@@ -102,7 +99,7 @@ def test_cyclic_hadamard_orthogonality(degree):
 
 
 def test_hadamard_core_is_circulant():
-    b = mls_plus_minus(MlsSpec(3))
+    b = 1.0 - 2.0 * gen_mls(MlsSpec(3))  # bit 0 -> +1, bit 1 -> -1
     h = cyclic_hadamard_matrix(3)
     for s in range(7):
         assert np.array_equal(h[1 + s, 1:], np.roll(b, -s))
@@ -214,6 +211,23 @@ def test_pss_check_against_config():
 def test_gen_perm_identity():
     perms = gen_perm_set(CFG, 3, "identity")
     assert np.array_equal(perms.perms, np.tile(np.arange(64), (3, 1)))
+
+
+@pytest.mark.parametrize("u", [0, -1])
+@pytest.mark.parametrize("kind", ["identity", "random"])
+def test_gen_perm_set_refuses_fewer_than_one_row(kind, u):
+    # u = 0 built an empty set and u = -1 ended in numpy's negative dimensions
+    with pytest.raises(ValueError, match="not at least 1"):
+        gen_perm_set(CFG, u, kind, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="not at least 1"):
+        gen_random_pss(CFG, u, np.random.default_rng(0))
+
+
+def test_permutation_set_refuses_an_empty_set():
+    with pytest.raises(ValueError, match="at least one permutation"):
+        PermutationSet(np.empty((0, 64), dtype=np.intp))
+    with pytest.raises(ValueError, match="at least one phase sequence"):
+        PhaseSequenceSet(np.empty((0, 64), dtype=complex))
 
 
 def test_gen_perm_random_group_closure():
