@@ -14,7 +14,7 @@ count.
 Per-batch draw order (per trial block): for each group in order, the
 active rows (uniform subset, or ranked-word lookup in bits mode), then all
 symbol indices. The batch is never held as blocks or as symbol values: the
-drawn positions and int32 symbol indices go with the constellation to one
+drawn int32 positions and symbol indices go with the constellation to one
 call of ``slm.candidate_paprs_db``, which assembles one tile of blocks at a
 time in a buffer reused by every tile (zeroed, then one flat index write of
 the tile's symbols, looked up from its indices). The candidates are those of
@@ -22,7 +22,7 @@ the tile's symbols, looked up from its indices). The candidates are those of
 of the tile, transforms them with one batched, unnormalised (zero-padded)
 FFT into buffers reused by every tile, and keeps only each candidate's peak
 power, scaled by the unitary factor 1/N. So a batch's working set is its
-positions and symbol indices (12 bytes per active subcarrier) plus a few
+positions and symbol indices (8 bytes per active subcarrier) plus a few
 tiles, not a BATCH_TRIALS x N block. The lowest candidate PAPR of each
 trial is counted against the gamma grid with one sorted search and a
 histogram.
@@ -56,9 +56,9 @@ from .slm import (
 
 BATCH_TRIALS = 4096
 
-# Largest bits-mode pattern table, in entries (patterns x active rows): 32 MiB
-# of indices. The table holds all 2^index_bits patterns, so it grows with
-# C(n, k); n=32, k=16 would need 2^29 patterns.
+# Largest bits-mode pattern table, in entries (patterns x active rows): 16 MiB
+# of int32 indices. The table holds all 2^index_bits patterns, so it grows
+# with C(n, k); n=32, k=16 would need 2^29 patterns.
 MAX_SUBSET_TABLE_ENTRIES = 1 << 22
 
 # Largest array a plan may need, in complex values: 512 MiB at 16 bytes each.
@@ -162,13 +162,14 @@ class TrialPlan:
 
     @cached_property
     def subset_table(self) -> np.ndarray | None:
-        """Bits mode: the pattern of every rank, row r = ``core.subset_unrank(r, n, k)``
-        (``combinations`` runs in lexicographic order). None for uniform patterns."""
+        """Bits mode: the int32 pattern of every rank, row r =
+        ``core.subset_unrank(r, n, k)`` (``combinations`` runs in
+        lexicographic order). None for uniform patterns."""
         if self.scheme.sap_source != "bits":
             return None
         words, k = 1 << self.cfg.index_bits, self.cfg.active
         subsets = itertools.islice(itertools.combinations(range(self.cfg.group_size), k), words)
-        table = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp, count=words * k)
+        table = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int32, count=words * k)
         return table.reshape(words, k)
 
 
@@ -237,8 +238,12 @@ def _batch_counts(plan: TrialPlan, batch_index: int) -> np.ndarray:
         pos = draw_active_positions(cfg, size, rng)
     else:
         G, table = cfg.num_groups, plan.subset_table
-        ranks = [rng.integers(0, table.shape[0], size=size) for _ in range(G)]
-        pos = np.concatenate([table[r] * G + g for g, r in enumerate(ranks)], axis=1)
+        ranks = np.stack([rng.integers(0, table.shape[0], size=size) for _ in range(G)], axis=1)
+        # one gather of every trial's G row subsets, made flat indices in place
+        pos = table[ranks]
+        pos *= G
+        pos += np.arange(G, dtype=np.int32)[:, None]
+        pos = pos.reshape(size, G * cfg.active)
     # int32 indices are the same bounded 32-bit draws as the default int64 in
     # half the bytes; the kernel maps them to symbols one tile at a time
     symbol_index = rng.integers(0, symbols.size, size=pos.shape, dtype=np.int32)

@@ -236,7 +236,7 @@ _SHUFFLE_VALUES = 1 << 16
 
 
 def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """(trials, K) active subcarrier indices, uniform over all C(n,k)^G patterns.
+    """(trials, K) int32 active subcarrier indices, uniform over all C(n,k)^G patterns.
 
     Columns run group by group, sorted rows within each group; group g draws
     one row-wise shuffle of all trials before group g+1. The shuffles run in
@@ -244,12 +244,17 @@ def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generat
     rows, group-major, share one call when trials is small, and one group's
     rows go through several calls when trials is large. ``rng.permuted``
     shuffles rows in order, so either is the stream of one call per group.
+    The buffer stays ``intp``, on which ``rng.permuted`` runs faster; only
+    the picks are written as int32, so an n_fft above 2^31, whose indices
+    would wrap, is refused before anything is drawn or allocated.
     """
+    if cfg.n_fft > 1 << 31:
+        raise ValueError(f"n_fft={cfg.n_fft} is above 2^31: its subcarrier indices do not fit in int32")
     n, k, G = cfg.group_size, cfg.active, cfg.num_groups
     rows_per_call = max(1, _SHUFFLE_VALUES // n)
     per_call = min(G, max(1, rows_per_call // max(trials, 1)))  # groups per call
     step = max(1, min(trials, rows_per_call))  # trials per call
-    out = np.empty((trials, G, k), dtype=np.intp)
+    out = np.empty((trials, G, k), dtype=np.int32)
     buf = np.empty((per_call * step, n), dtype=np.intp)
     for g0 in range(0, G, per_call):
         gc = min(per_call, G - g0)
@@ -258,10 +263,11 @@ def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generat
             rows = buf[: gc * t]
             rows[...] = np.arange(n)
             rng.permuted(rows, axis=1, out=rows)
-            picks = np.sort(rows[:, :k], axis=1).reshape(gc, t, k).transpose(1, 0, 2)
-            dest = out[s : s + t, g0 : g0 + gc]
-            np.multiply(picks, G, out=dest)
-            dest += np.arange(g0, g0 + gc)[:, None]
+            # flat indices in the contiguous intp picks, then one casting copy
+            picks = np.sort(rows[:, :k], axis=1).reshape(gc, t, k)
+            picks *= G
+            picks += np.arange(g0, g0 + gc)[:, None, None]
+            out[s : s + t, g0 : g0 + gc] = picks.transpose(1, 0, 2)
     return out.reshape(trials, G * k)
 
 

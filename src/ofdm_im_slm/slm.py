@@ -274,6 +274,18 @@ def _candidate_signals(blocks, pss_seq, perm_inv, gathered=None, padded=None, ou
     return np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum if out is None else out)
 
 
+def _indices(name: str, values) -> np.ndarray:
+    """``values`` as an array of integers that index like intp, else ValueError.
+
+    A bool array would index as a mask, and uint64 offsets add to intp ones
+    as floats.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.intp):
+        raise ValueError(f"{name} must be an array of integer indices, got dtype {values.dtype}")
+    return values
+
+
 def candidate_paprs_db(
     positions: np.ndarray,
     symbol_index: np.ndarray,
@@ -294,7 +306,9 @@ def candidate_paprs_db(
     gathers the block by the inverse of permutation u (entry i lands at
     d_u[i]), multiplies by phase row u and applies the IDFT, zero-padded by
     ``oversample`` with indices at or above N/2 as negative frequencies (the
-    layout of ``core.oversampled_idft``).
+    layout of ``core.oversampled_idft``). ``positions``, ``symbol_index`` and
+    ``perm_inv`` are integer arrays (int32 positions, as drawn, index as
+    well as intp ones), and ``pss_seq`` is U rows of length N.
 
     The blocks are assembled one tile at a time: the tile's rows of a
     (tile, N) buffer are zeroed, its symbols looked up from its indices and
@@ -313,8 +327,11 @@ def candidate_paprs_db(
     """
     if oversample < 1 or int(oversample) != oversample:
         raise ValueError("oversampling factor must be a positive integer")
-    positions, symbol_index, symbols = np.asarray(positions), np.asarray(symbol_index), np.asarray(symbols)
+    positions, symbol_index = _indices("positions", positions), _indices("symbol_index", symbol_index)
+    perm_inv, symbols, pss_seq = _indices("perm_inv", perm_inv), np.asarray(symbols), np.asarray(pss_seq)
     n, u = int(n_fft), pss_seq.shape[0]
+    if pss_seq.ndim != 2 or u < 1 or pss_seq.shape[1] != n:
+        raise ValueError(f"pss_seq of shape {pss_seq.shape} must be U >= 1 phase rows of length {n}")
     if positions.ndim != 2 or positions.shape != symbol_index.shape or symbols.ndim != 1:
         raise ValueError(
             f"positions {positions.shape} and symbol indices {symbol_index.shape} must be the same (rows, K) "
@@ -326,7 +343,6 @@ def candidate_paprs_db(
     if symbol_index.size and (symbol_index.min() < 0 or symbol_index.max() >= symbols.size):
         raise ValueError(f"symbol indices must lie in 0..{symbols.size - 1}")
     # the candidate gather clips its indices instead of checking them
-    perm_inv = np.asarray(perm_inv)
     if perm_inv.shape != (u, n) or perm_inv.min() < 0 or perm_inv.max() >= n:
         raise ValueError(f"perm_inv must be {u} x {n} indices in 0..{n - 1}")
     rows, width = positions.shape[0], n * int(oversample)
@@ -360,7 +376,12 @@ def candidate_paprs_db(
         at = power[:t].argmax(axis=-1)
         at += row_starts[:t]
         peaks[start : start + t] = power.reshape(-1)[at]
-    return 10.0 * np.log10(peaks * (1.0 / n) / mean_power)
+    # 10 * log10(peaks * (1/n) / mean_power), in place, in the order of slm_select
+    peaks *= 1.0 / n
+    peaks /= mean_power
+    np.log10(peaks, out=peaks)
+    peaks *= 10.0
+    return peaks
 
 
 def slm_select(

@@ -233,7 +233,8 @@ def test_oversampled_batch_path_matches_zero_padded_oracle():
 def dense_batch_counts(plan, batch_index):
     """Counts of one batch from a dense (size, N) block of the batch: the
     assembly that the kernel's per-tile scatter replaced, kept as its oracle.
-    The draws are replayed with numpy's default integer types."""
+    The rank and symbol draws are replayed with numpy's default integer
+    types, and bits-mode positions with one table lookup per group."""
     cfg = plan.cfg
     pss, perms = plan.generator_sets
     symbols = Constellation.psk(cfg.mod_order).symbols
@@ -295,9 +296,9 @@ def test_batch_holds_no_block_of_the_whole_batch():
 
 
 def test_batch_holds_no_array_of_symbol_values():
-    # at k=14 a batch draws 4096 x 896 positions (28 MiB as intp) and symbol
-    # indices (14 MiB as int32); mapped to complex symbols all at once they
-    # would add 56 MiB, which is the 98 MiB peak of mapping them per batch
+    # at k=14 a batch draws 4096 x 896 positions and symbol indices, 14 MiB
+    # each as int32; mapped to complex symbols all at once they would add
+    # 56 MiB, and positions held as intp would add 14 MiB
     cfg = SystemConfig(n_fft=1024, group_size=16, active=14, mod_order=4)
     scheme = SchemeDescriptor(mode="slm", u=4, pss_kind="random", perm_kind="random")
     plan = make_plan(cfg=cfg, scheme=scheme, trials=BATCH_TRIALS, seed=3)
@@ -308,7 +309,7 @@ def test_batch_holds_no_array_of_symbol_values():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 << 20
+    assert peak < 32 << 20
 
 
 @pytest.mark.parametrize("sap_source", SAP_SOURCES)
@@ -396,7 +397,7 @@ def test_bits_pattern_table_is_subset_unrank(group_size, active):
     cfg = SystemConfig(n_fft=64, group_size=group_size, active=active, mod_order=4)
     scheme = SchemeDescriptor(mode="slm", u=2, sap_source="bits")
     table = make_plan(cfg=cfg, scheme=scheme, trials=10).subset_table
-    assert table.shape == (1 << cfg.index_bits, active) and table.dtype == np.intp
+    assert table.shape == (1 << cfg.index_bits, active) and table.dtype == np.int32
     for rank in range(table.shape[0]):
         assert tuple(table[rank]) == subset_unrank(rank, group_size, active)
 

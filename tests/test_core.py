@@ -390,10 +390,21 @@ def test_draw_active_positions_equals_one_shuffle_per_group(cfg, trials):
     a, b = np.random.default_rng(trials), np.random.default_rng(trials)
     got = draw_active_positions(cfg, trials, a)
     want = draw_active_positions_oracle(cfg, trials, b)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
     # the generator is left in the same state, so the next draw agrees too
     assert np.array_equal(draw_active_positions(cfg, 3, a), draw_active_positions_oracle(cfg, 3, b))
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_draw_active_positions_refuses_positions_beyond_int32():
+    # a valid config whose last subcarrier index, 2^32 - 1, would wrap in int32;
+    # refused before the 1 GiB output or anything else is allocated or drawn
+    cfg = SystemConfig(n_fft=2**32, group_size=16, active=1, mod_order=4)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="int32"):
+        draw_active_positions(cfg, 1, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_draw_active_positions_memory_is_bounded_by_the_shuffle_buffer():

@@ -463,6 +463,35 @@ def test_candidate_paprs_refuse_inverse_permutations_outside_the_block(bad):
         candidate_paprs_db(positions, symbol_index, Constellation.psk(4).symbols, CFG.n_fft, pss.sequences, perm_inv, 1.0)
 
 
+@pytest.mark.parametrize("name,bad", [
+    # a mask would index the block and run without an error
+    ("positions", lambda a: a["positions"] > 3),
+    ("positions", lambda a: a["positions"].astype(float)),
+    # uint64 offsets add to the intp row offsets as floats
+    ("positions", lambda a: a["positions"].astype(np.uint64)),
+    ("symbol_index", lambda a: a["symbol_index"].astype(float)),
+    ("perm_inv", lambda a: a["perm_inv"].astype(float)),
+    ("pss_seq", lambda a: a["pss_seq"][:, :32]),
+    ("pss_seq", lambda a: a["pss_seq"][0]),
+    ("pss_seq", lambda a: a["pss_seq"][:0]),
+], ids=["bool-positions", "float-positions", "uint64-positions", "float-symbol-index",
+        "float-perm-inv", "short-phase-rows", "one-phase-row", "no-phase-rows"])
+def test_candidate_paprs_refuse_malformed_arguments_by_name(name, bad):
+    rng = np.random.default_rng(23)
+    args = {
+        "positions": np.tile(np.arange(8), (5, 1)),
+        "symbol_index": np.zeros((5, 8), dtype=np.int32),
+        "pss_seq": gen_random_pss(CFG, 4, rng).sequences,
+        "perm_inv": gen_perm_set(CFG, 4, "random", rng).inverse,
+    }
+    args[name] = bad(args)
+    symbols = Constellation.psk(4).symbols
+    with pytest.raises(ValueError, match=f"^{name} "):
+        candidate_paprs_db(
+            args["positions"], args["symbol_index"], symbols, CFG.n_fft, args["pss_seq"], args["perm_inv"], 1.0
+        )
+
+
 @pytest.mark.parametrize("oversample", [1, 4])
 def test_candidate_paprs_are_the_row_maxima_of_oversampled_idft(oversample):
     # at N=64 and L in {1, 4} every scale factor is a power of two, so each
