@@ -9,7 +9,8 @@ Trial blocks are drawn in fixed-size batches of BATCH_TRIALS, batch b
 (``_batch_counts(plan, b)``) using stream (seed, 2, b). Workers receive the
 plan, only partition whole batches and the reduction is integer addition,
 so identical plans give bit-identical exceedance counts for any worker
-count.
+count. ``multiprocessing`` is imported only when a run fans out, so
+importing the package or running with one worker never loads it.
 
 Per-batch draw order (per trial block): for each group in order, the
 active rows (uniform subset, or ranked-word lookup in bits mode), then all
@@ -34,7 +35,6 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import signal
 from dataclasses import dataclass
 from functools import cached_property
@@ -280,7 +280,12 @@ def _worker_batch(batch_index):
 
 
 def run_ccdf(plan: TrialPlan, workers: int = 1) -> CcdfCurve:
-    """Estimate the PAPR CCDF for a plan; workers never change the counts."""
+    """Estimate the PAPR CCDF for a plan; workers never change the counts.
+
+    With one worker, or one batch, the batches run in this process and
+    ``multiprocessing`` is not imported; it is imported, once per process,
+    only when a pool starts.
+    """
     # built before the pool starts, so that every worker inherits them
     plan.generator_sets, plan.subset_table
     n_batches = -(-plan.trials // BATCH_TRIALS)
@@ -291,6 +296,8 @@ def run_ccdf(plan: TrialPlan, workers: int = 1) -> CcdfCurve:
         for b in range(n_batches):
             counts += _batch_counts(plan, b)
     else:
+        import multiprocessing
+
         # fork keeps workers importable without a __main__ guard in callers
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         ctx = multiprocessing.get_context(method)

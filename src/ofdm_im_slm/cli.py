@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--gamma", default="4:13:0.1",
-                   help="gamma grid start:stop:step in dB; write a negative start as --gamma=-3:10:1")
+                   help="gamma grid start:stop:step in dB, such as 4:13:0.1 or -3:10:1")
     p.add_argument("--oversample", type=int, default=1)
     p.add_argument("--workers", type=int, default=1, help="worker processes, >= 1 (at most one per batch is started)")
     p.add_argument("--out", required=True, help="output base path; writes <out>.csv and <out>.json")
@@ -480,8 +480,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_gamma(argv: list) -> list:
+    """``argv`` with each ``--gamma -VALUE`` written ``--gamma=-VALUE``, so
+    that a negative start such as ``-3:10:1`` parses as in the ``=`` form.
+
+    argparse reads a separate value that starts with "-" and is no plain
+    number as a flag. The flags of ``ccdf`` are -h and names that start
+    with "--"; those after ``--gamma`` are left as they are. argparse also
+    takes ``--ga``, ``--gam`` and ``--gamm`` for ``--gamma`` (``--g`` is
+    ambiguous with ``--group-size``), so those are joined too.
+    """
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 3 and "--gamma".startswith(flag) and arg[:1] == "-" and arg[:2] != "--" and arg != "-h":
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
+        argv = _join_negative_gamma(sys.argv[1:] if argv is None else list(argv))
         # --help and --version still print and raise SystemExit(0)
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -317,12 +317,14 @@ def candidate_paprs_db(
     through the candidate stage that ``slm_select`` shares: one gather, one
     phase multiply and one batched FFT without normalisation. Only the peak
     powers are kept; the unitary factor 1/N scales those peaks alone. The
-    block, gather (the signal buffer itself without oversampling), padded
-    spectrum, signal and power buffers are allocated once per call and
-    reused by every tile, so the zero band is written once and no tile
-    allocates an array of its own size. When N is a power of 4 and
-    ``oversample`` a power of 2 every scale factor is a power of two, and
-    the result is bit-identical to taking the peaks of
+    gather (the signal buffer itself without oversampling), padded
+    spectrum and signal buffers are allocated once per call and reused by
+    every tile, and so is one float allocation of which the block and the
+    power buffer are both views: a tile's block is dead once the gather has
+    read it, and only after that is its power written. So the zero band is
+    written once and no tile allocates an array of its own size. When N is
+    a power of 4 and ``oversample`` a power of 2 every scale factor is a
+    power of two, and the result is bit-identical to taking the peaks of
     ``core.oversampled_idft``.
     """
     if oversample < 1 or int(oversample) != oversample:
@@ -348,7 +350,12 @@ def candidate_paprs_db(
     rows, width = positions.shape[0], n * int(oversample)
     step = max(1, _TILE_OUTPUTS // (u * width))
     tile = min(rows, step)
-    block = np.empty((tile, n), dtype=complex)
+    # a tile's block is dead once the candidate gather has read it, and its
+    # power is written only after that, so both are views of one float
+    # buffer; with U * L = 1 the power is half the block's size
+    shared = np.empty(max(tile * u * width, 2 * tile * n))
+    block = shared[: 2 * tile * n].view(complex).reshape(tile, n)
+    power = shared[: tile * u * width].reshape(tile, u, width)
     block_flat = block.reshape(-1)
     # flat offset of each block row, for the scatter of the tile's symbols
     row_offsets = np.arange(0, tile * n, n).reshape(tile, 1)
@@ -358,7 +365,6 @@ def candidate_paprs_db(
     # transformed in place; a gather that allocated per tile made glibc give
     # its heap back and fault it in again, tile after tile
     gathered = signal if padded is None else np.empty((tile, u, n), dtype=complex)
-    power = np.empty((tile, u, width))
     # flat offset of each candidate row in power, for the peak gather below
     row_starts = np.arange(0, tile * u * width, width).reshape(tile, u)
     peaks = np.empty((rows, u))

@@ -1,6 +1,10 @@
-"""The verdict rule of tools/bench_pairs.py, on made-up pairs."""
+"""The verdict rule and the host-speed probe of tools/bench_pairs.py, the rule
+on made-up pairs."""
 
+import argparse
+import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +90,33 @@ def test_more_failed_operations_void_a_gain():
     # as many failures on both sides leave the rule as it was
     pairs.append({"parent": run(42.2, failed=1), "change": run(41.5)})
     assert not bench_pairs.compare(pairs, RSS)["more_failures"]
+
+
+def test_host_probe_times_the_transform_loop_in_a_fresh_interpreter():
+    seconds = bench_pairs.host_probe(loops=1)
+    assert isinstance(seconds, float) and 0 < seconds < 60
+
+
+def test_host_probe_pins_the_threads_of_the_benchmark():
+    tree = ast.parse((_PATH.parent.parent / "perfbench" / "run.py").read_text())
+    pinned = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "THREAD_VARS" for t in node.targets))
+    assert bench_pairs.THREAD_VARS == pinned
+
+
+def test_each_run_records_the_host_probe_and_each_side_its_quartiles(tmp_path, monkeypatch):
+    probes = iter(range(1, 2 * bench_pairs.PAIRS + 1))
+    monkeypatch.setattr(bench_pairs, "host_probe", lambda: float(next(probes)))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, *a: run(42.0 if tree == "p" else 41.0))
+    args = argparse.Namespace(title="", parent="HEAD", claim=[], out=tmp_path / "bench.json")
+    bench = {"end_to_end": [RSS]}
+    bench_pairs.run_sets(args, bench, [("ccdf_sparse", 1)], 0, {"parent": "p", "change": "c"})
+    doc = json.loads(args.out.read_text())["workloads"]["ccdf_sparse@seed1"]
+    # pair i runs its first side with probe 2i + 1 and its second with 2i + 2
+    firsts = [2 * i + 1 for i in range(bench_pairs.PAIRS)]
+    parent = [f if i % 2 == 0 else f + 1 for i, f in enumerate(firsts)]
+    change = [f + 1 if i % 2 == 0 else f for i, f in enumerate(firsts)]
+    assert [p["parent"]["host_probe_s"] for p in doc["pairs"]] == parent
+    assert [p["change"]["host_probe_s"] for p in doc["pairs"]] == change
+    assert doc["host_probe_s"] == {"parent": bench_pairs.summary(parent), "change": bench_pairs.summary(change)}
+    assert doc["metrics"]["peak_rss_mb"]["change_wins"] == bench_pairs.PAIRS

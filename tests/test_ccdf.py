@@ -1,3 +1,4 @@
+import multiprocessing
 import pickle
 import tracemalloc
 
@@ -160,8 +161,10 @@ class RecordingContext:
 
 
 def test_pool_never_larger_than_batch_count(monkeypatch):
+    # run_ccdf imports multiprocessing only when it fans out, so the module
+    # itself is patched
     context = RecordingContext()
-    monkeypatch.setattr(ccdf.multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(ccdf, "_WORKER_PLAN", None)
     plan = make_plan(trials=BATCH_TRIALS * 2 + 5)  # 3 batches
     serial = run_ccdf(plan, workers=1)
@@ -293,6 +296,22 @@ def test_batch_holds_no_block_of_the_whole_batch():
     finally:
         tracemalloc.stop()
     assert peak < BATCH_TRIALS * cfg.n_fft * 16 // 4
+
+
+def test_batch_block_shares_the_power_buffer():
+    # each tile's (128, 64) complex block and (128, 4, 64) float power are
+    # views of one 256 KiB allocation: one batch traced 1.39 MiB with two
+    # allocations and 1.26 MiB with one
+    scheme = SchemeDescriptor(mode="slm", u=4, pss_kind="random", perm_kind="random")
+    plan = make_plan(scheme=scheme, trials=BATCH_TRIALS, seed=3)
+    _batch_counts(plan, 0)  # the process's first FFT of this shape is not traced
+    tracemalloc.start()
+    try:
+        _batch_counts(plan, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.33 * (1 << 20)
 
 
 def test_batch_holds_no_array_of_symbol_values():

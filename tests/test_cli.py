@@ -226,10 +226,14 @@ def test_ccdf_nan_pss_file_exit_2(tmp_path, capsys):
     assert_clean_exit_2(rc, capsys, tmp_path)
 
 
-@pytest.mark.parametrize("spec", ["4:13:0", "4:13:-0.1", "4:inf:0.1"])
+@pytest.mark.parametrize("spec", ["4:13:0", "4:13:-0.1", "4:inf:0.1", "-3:10:0", "-inf:3:1"])
 def test_ccdf_bad_gamma_step_exit_2(tmp_path, capsys, spec):
+    # a separate value with a negative start is refused as the = form is,
+    # not as a missing value
     rc = run_cli(["ccdf", *BASE, "--gamma", spec, "--trials", "10", "--out", str(tmp_path / "x")])
-    assert_clean_exit_2(rc, capsys, tmp_path)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: bad gamma spec {spec!r}, expected start:stop:step with step > 0\n"
+    assert not list(tmp_path.glob("x.*"))
 
 
 @pytest.mark.parametrize("spec", ["1e300:1e301:1e299", "0:1e308:1e307", "1.8e299:1.9e299:1e298"])
@@ -245,11 +249,47 @@ def test_ccdf_gamma_grid_that_overflows_exit_2(tmp_path, capsys, spec):
 
 
 def test_ccdf_negative_gamma_start_with_equals(tmp_path):
-    # argparse reads a value that starts with "-" and is no plain number as a flag
+    # argparse alone parses this form; cli.main joins a separate value into it
     rc = run_cli(["ccdf", *BASE, "--gamma=-3:10:1", "--trials", "200", "--out", str(tmp_path / "g")])
     assert rc == 0
     lines = (tmp_path / "g.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 14 and lines[1].startswith("-3,")
+
+
+@pytest.mark.parametrize("spec", ["-3:10:1", "-.5:2:0.5", "-0.5:-0.1:0.1"])
+@pytest.mark.parametrize("flag", ["--gamma", "--gam"])
+def test_ccdf_negative_gamma_start_as_a_separate_value(tmp_path, flag, spec):
+    # the two forms of the flag, or of its abbreviation, write the same files
+    argv = ["ccdf", *BASE, "--trials", "200"]
+    assert run_cli([*argv, flag, spec, "--out", str(tmp_path / "apart")]) == 0
+    assert run_cli([*argv, f"{flag}={spec}", "--out", str(tmp_path / "joined")]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"apart{suffix}").read_bytes() == (tmp_path / f"joined{suffix}").read_bytes()
+    first_gamma = (tmp_path / "apart.csv").read_text().split("\n")[1].split(",")[0]
+    assert float(first_gamma) == float(spec.split(":")[0])
+
+
+def test_one_worker_run_never_loads_multiprocessing(tmp_path):
+    # pytest or hypothesis may load multiprocessing themselves, so the runs
+    # go to a fresh interpreter: import, one worker, then two workers
+    code = (
+        "import sys\n"
+        "import ofdm_im_slm, ofdm_im_slm.cli\n"
+        "loaded = ['multiprocessing' in sys.modules]\n"
+        "for workers in ('1', '2'):\n"
+        "    argv = ['ccdf', *sys.argv[2:], '--workers', workers, '--out', sys.argv[1] + '/w' + workers]\n"
+        "    assert ofdm_im_slm.cli.main(argv) == 0\n"
+        "    loaded.append('multiprocessing' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ccdf.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [str(tmp_path), *BASE, "--trials", str(2 * ccdf.BATCH_TRIALS)]  # two batches: a pool of two
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[False, False, True]"
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"w1{suffix}").read_bytes() == (tmp_path / f"w2{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("spec", ["0:1e12:1", f"0:{cli.MAX_GAMMA_POINTS}:1"])
@@ -950,11 +990,13 @@ def test_seed_beyond_64_bits_runs(tmp_path, command):
     (["ccdf", "--trials", "10"], "ofdm-im-slm ccdf: the following arguments are required: --out"),
     (["ccdf", "--trials", "ten", "--out", "x"], "ofdm-im-slm ccdf: argument --trials: invalid int value: 'ten'"),
     (["ccdf", "--out", "x", "--bogus"], "ofdm-im-slm: unrecognized arguments: --bogus"),
-    (["ccdf", "--gamma", "-3:10:1", "--out", "x"], "ofdm-im-slm ccdf: argument --gamma: expected one argument"),
+    (["ccdf", "--gamma", "--out", "x"], "ofdm-im-slm ccdf: argument --gamma: expected one argument"),
     (["analyze-pss", "--pair", "1", "--out", "x"], "ofdm-im-slm analyze-pss: argument --pair: expected 2 arguments"),
     (["verify-var-rho", "--scheme", "slm"], "ofdm-im-slm: unrecognized arguments: --scheme slm"),
     (["nosuch"], "ofdm-im-slm: argument command: invalid choice: 'nosuch'"),
     ([], "ofdm-im-slm: the following arguments are required: command"),
+    (["ccdf", "--out", "x", "--gamma"], "ofdm-im-slm ccdf: argument --gamma: expected one argument"),
+    (["ccdf", "--gamma", "-h", "--out", "x"], "ofdm-im-slm ccdf: argument --gamma: expected one argument"),
 ])
 def test_command_line_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # argparse printed the usage too, 3 to 10 lines, and raised SystemExit

@@ -521,6 +521,28 @@ def test_candidate_paprs_rows_across_tiles_match_single_blocks(oversample):
         assert np.array_equal(single, batch[t : t + 1])
 
 
+@pytest.mark.parametrize("oversample", [1, 2])
+def test_candidate_paprs_of_one_candidate_across_tiles_match_single_blocks(oversample):
+    # U = 1: the power buffer, one allocation with the tile's block, is half
+    # the block's size at L = 1 and as large at L = 2; 600 rows are two tiles
+    # of 512 (L = 1) or 256 (L = 2) rows and a shorter last tile
+    rng = np.random.default_rng(23 + oversample)
+    pss, perms = gen_random_pss(CFG, 1, rng), gen_perm_set(CFG, 1, "random", rng)
+    symbols = Constellation.psk(4).symbols
+    blocks = np.array([random_block(CFG, seed=600 + s)[0] for s in range(600)])
+    active = np.array([np.flatnonzero(b) for b in blocks], dtype=np.int32)
+    symbol_index = np.abs(np.take_along_axis(blocks, active, axis=1)[..., None] - symbols).argmin(axis=-1)
+    got = candidate_paprs_db(
+        active, symbol_index, symbols, CFG.n_fft, pss.sequences, perms.inverse, CFG.mean_power, oversample
+    )
+    assert got.shape == (600, 1)
+    for t, block in enumerate(blocks):
+        x = oversampled_idft(block[perms.inverse[0]] * pss.sequences[0], oversample)
+        assert got[t, 0] == 10.0 * np.log10(np.max(x.real**2 + x.imag**2) / CFG.mean_power)
+        if oversample == 1:
+            assert np.array_equal(got[t], slm_select(block, pss, perms, CFG).papr_db)
+
+
 @pytest.mark.parametrize("n_fft", [32, 128])
 @pytest.mark.parametrize("oversample", [1, 3])
 def test_candidate_paprs_match_zero_padded_dft_matrix(n_fft, oversample):

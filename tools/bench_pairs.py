@@ -31,6 +31,13 @@ won at least nine tenths of all of them, its median is better by more
 than the parent's interquartile distance, and no larger share of its
 operations failed. The file is rewritten after every pair, so a run that
 is stopped keeps the pairs it finished (and reads no gain).
+
+Before every run a host-speed probe (``host_probe``) times PROBE_LOOPS
+complex ``np.fft.ifft`` calls over (4096, 4, 64) in a fresh interpreter
+with the thread pins of ``perfbench/run.py``. Each run's row keeps its
+probe seconds (``host_probe_s``), and each set keeps each side's median
+and quartiles, so that records made at different times can tell a slow
+host from a regression.
 """
 
 from __future__ import annotations
@@ -52,6 +59,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # per set: the fewest pairs the nine-tenths rule is defined on
+
+# The thread variables perfbench/run.py pins to 1 before numpy is imported.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+PROBE_LOOPS = 20
+PROBE = """
+import sys, time
+import numpy as np
+x = np.random.default_rng(0).standard_normal((4096, 4, 64 * 2)).view(complex)
+np.fft.ifft(x)  # the first transform of a shape sets it up
+start = time.perf_counter()
+for _ in range(int(sys.argv[1])):
+    np.fft.ifft(x)
+print(time.perf_counter() - start)
+"""
 
 
 def git(*args: str) -> bytes:
@@ -78,6 +100,17 @@ def clean(tree: Path):
     for cache in tree.rglob("__pycache__"):
         shutil.rmtree(cache)
     shutil.rmtree(tree / ".perfbench_out", ignore_errors=True)
+
+
+def host_probe(loops: int = PROBE_LOOPS) -> float:
+    """Seconds that ``loops`` complex ``np.fft.ifft`` calls over (4096, 4, 64)
+    take in a fresh interpreter with the benchmark's thread pins: how fast
+    the host is at the time of a run, so that a slow host can be told from a
+    regression when records are compared."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **dict.fromkeys(THREAD_VARS, "1"))
+    out = subprocess.run([sys.executable, "-c", PROBE, str(loops)], env=env, capture_output=True, text=True,
+                         check=True)
+    return float(out.stdout)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -193,7 +226,9 @@ def run_sets(args, bench: dict, sets: list, seconds: float, trees: dict):
             "the pairs in which both runs were correct; quartiles use statistics.quantiles(n=4, "
             "method='inclusive'). A pair is a win when the change is strictly better. gain_rule_met: at least "
             f"{PAIRS} pairs run, wins in at least 9/10 of all of them, a better median, a median gap over the "
-            "parent's interquartile distance, and no larger share of failed operations than the parent's."
+            "parent's interquartile distance, and no larger share of failed operations than the parent's. "
+            f"host_probe_s: before every run, the seconds of {PROBE_LOOPS} complex np.fft.ifft calls over "
+            "(4096, 4, 64) in a fresh interpreter with the benchmark's thread pins, per side as quartiles."
         ),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": metadata.version("numpy")},
@@ -207,15 +242,18 @@ def run_sets(args, bench: dict, sets: list, seconds: float, trees: dict):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"pair": i, "first": order[0]}
             for side in order:
+                probe = host_probe()
                 pair[side] = run_once(trees[side], workload, seed, seconds)
+                pair[side]["host_probe_s"] = probe
                 digest = pair[side].get("src_sha256")
                 if digest and digest not in doc["src_sha256"][side]:
                     doc["src_sha256"][side].append(digest)
             pairs.append(pair)
             metrics = {m["name"]: compare(pairs, m) for m in bench["end_to_end"]}
             correct = {side: sum(p[side].get("correct") is True for p in pairs) for side in trees}
+            probes = {side: summary([p[side]["host_probe_s"] for p in pairs]) for side in trees}
             doc["workloads"][key] = {"workload": workload, "seed": seed, "correct_runs": correct,
-                                     "metrics": metrics, "pairs": pairs}
+                                     "host_probe_s": probes, "metrics": metrics, "pairs": pairs}
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"{time.strftime('%H:%M:%S')} {key} pair {i + 1}/{PAIRS} "
                   f"correct={pair['parent'].get('correct')}/{pair['change'].get('correct')}", flush=True)
