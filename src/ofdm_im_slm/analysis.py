@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sap, SystemConfig, draw_active_positions
+from .core import Sap, SystemConfig, _as_int, draw_active_positions
 from .slm import PermutationSet, PhaseSequenceSet
 
 
@@ -56,16 +56,19 @@ def var_rho_closed_form(cfg: SystemConfig, m: int) -> float:
     (1/N) * (n/(n-1)) * (n/k - 1) off the zero lags; exactly 0 when
     m = 0 mod n because every group contributes the constant k there.
     """
-    n, k = cfg.group_size, cfg.active
+    n, k, m = cfg.group_size, cfg.active, _as_int("m", m)
     if m % n == 0:
         return 0.0
     return (1.0 / cfg.n_fft) * (n / (n - 1.0)) * (n / k - 1.0)
 
 
 def var_rho_empirical(cfg: SystemConfig, m: int, trials: int, rng: np.random.Generator) -> float:
-    """Sample variance E|rho|^2 - |E rho|^2 of rho(m) over uniform pattern draws."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    """Sample variance E|rho|^2 - |E rho|^2 of rho(m) over uniform pattern draws.
+
+    rho(m) has period N in m, so the lag is taken mod N before its phases
+    are built; any integer lag is valid.
+    """
+    m, trials = _as_int("m", m) % cfg.n_fft, _as_int("trials", trials, 1)
     pos = draw_active_positions(cfg, trials, rng)
     w = np.exp(-2j * np.pi * m * np.arange(cfg.n_fft) / cfg.n_fft)
     rho = w[pos].sum(axis=1) / cfg.total_active
@@ -95,11 +98,7 @@ def var_rho_empirical_profile(
     of its cost; a float ``/ K`` would differ in the last bit when K is not
     a power of two.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    N = cfg.n_fft
+    trials, chunk, N = _as_int("trials", trials, 1), _as_int("chunk", chunk, 1), cfg.n_fft
     tile = min(max(1, _VAR_RHO_TILE // N), chunk, trials)
     rho = np.empty((tile + 1, N), dtype=complex)
     abs2 = np.empty((tile + 1, N))
@@ -192,8 +191,10 @@ def mu_metric(d1: np.ndarray, d2: np.ndarray, cfg: SystemConfig) -> MuReport:
     the N^2 values. Identity pairs give exactly N - 1 (grid is N on the
     diagonal, 0 elsewhere).
     """
-    N = cfg.n_fft
-    e = np.asarray(d1)[np.argsort(np.asarray(d2))]
+    N, d1, d2 = cfg.n_fft, np.asarray(d1), np.asarray(d2)
+    if d1.shape != (N,) or d2.shape != (N,):
+        raise ValueError(f"d1 of shape {d1.shape} and d2 of shape {d2.shape} must each be one row of n_fft={N}")
+    e = d1[np.argsort(d2)]
     phase = np.exp(-2j * np.pi * np.outer(np.arange(N), e) / N)  # rows: l
     grid = np.abs(np.fft.ifft(phase, axis=1)) * N
     return MuReport(mu=float(np.var(grid)), grid_shape=grid.shape)
@@ -238,12 +239,18 @@ def cov_alt_signals(
 
     Random unit-power symbols are drawn on the fixed activation pattern;
     the analytic value is (1/N) sum_{i in I} P1(d1(i)) P2*(d2(i))
-    exp(j*2*pi*(d1(i)l - d2(i)m)/N).
+    exp(j*2*pi*(d1(i)l - d2(i)m)/N). Both samples have period N, so l and
+    m are taken mod N; any integer sample index is valid.
     """
     if pss.u < 2 or perms.u < 2:
         raise ValueError("need two candidates (u = 1, 2)")
     N = cfg.n_fft
-    active = np.asarray(sap.active, dtype=np.intp)
+    if pss.n_fft != N or perms.perms.shape[1] != N:
+        raise ValueError(
+            f"pss rows of length {pss.n_fft} and perms rows of length {perms.perms.shape[1]} must be n_fft={N} long"
+        )
+    l, m, trials = _as_int("l", l) % N, _as_int("m", m) % N, _as_int("trials", trials, 1)
+    active = _active_indices(sap, N)
     p1, p2 = pss.sequences[0], pss.sequences[1]
     d1, d2 = np.asarray(perms.perms[0]), np.asarray(perms.perms[1])
 

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Constellation, SystemConfig, draw_active_positions
+from .core import Constellation, SystemConfig, _as_int, draw_active_positions
 from .slm import (
     PermutationSet,
     PhaseSequenceSet,
@@ -93,8 +93,7 @@ class SchemeDescriptor:
         # original transmission is SLM with one untouched branch
         if self.mode == "original" and (self.pss_kind != "all-ones" or self.perm_kind != "identity"):
             raise ValueError("original mode implies u=1, all-ones PSS, identity permutation")
-        if self.u < 1:
-            raise ValueError("u must be >= 1")
+        object.__setattr__(self, "u", _as_int("u", self.u, 1))
         if self.pss_kind not in PSS_KINDS or self.perm_kind not in PERM_KINDS:
             raise ValueError(f"unknown pss/perm kind: {self.pss_kind}/{self.perm_kind}")
         if self.pss_kind == "all-ones" and self.u != 1:
@@ -125,10 +124,9 @@ class TrialPlan:
     def __post_init__(self):
         gamma = np.asarray(self.gamma_db, dtype=float)
         object.__setattr__(self, "gamma_db", gamma)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        object.__setattr__(self, "trials", _as_int("trials", self.trials, 1))
+        object.__setattr__(self, "seed", _as_int("seed", self.seed, 0))
+        object.__setattr__(self, "oversample", _as_int("oversample", self.oversample, 1))
         if gamma.size == 0:
             raise ValueError("gamma grid is empty")
         if gamma.ndim != 1 or not np.all(np.isfinite(gamma)):
@@ -136,12 +134,10 @@ class TrialPlan:
         # written so that a NaN difference fails too
         if not np.all(np.diff(gamma) > 0):
             raise ValueError("gamma grid must be strictly increasing")
-        if self.oversample < 1 or int(self.oversample) != self.oversample:
-            raise ValueError("oversample must be a positive integer")
         cfg = self.cfg
         largest = max(
             min(self.trials, BATCH_TRIALS) * cfg.n_fft,
-            self.scheme.u * int(self.oversample) * cfg.n_fft,
+            self.scheme.u * self.oversample * cfg.n_fft,
             cfg.mod_order,
         )
         if largest > MAX_PLAN_ELEMENTS:
@@ -186,6 +182,7 @@ class CcdfCurve:
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "gamma_db", gamma)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "trials", _as_int("trials", self.trials, 1))
         if gamma.shape != counts.shape:
             raise ValueError("gamma grid and counts differ in length")
         if np.any(counts < 0) or np.any(counts > self.trials):
@@ -286,6 +283,7 @@ def run_ccdf(plan: TrialPlan, workers: int = 1) -> CcdfCurve:
     ``multiprocessing`` is not imported; it is imported, once per process,
     only when a pool starts.
     """
+    workers = _as_int("workers", workers, 1)
     # built before the pool starts, so that every worker inherits them
     plan.generator_sets, plan.subset_table
     n_batches = -(-plan.trials // BATCH_TRIALS)
@@ -315,8 +313,11 @@ def papr_at_ccdf(curve: CcdfCurve, target: float) -> float:
 
     Interpolates linearly in (gamma, log10 ccdf); a zero-count bracket point
     is read as half a count. Targets below ~10 raw counts, above the curve
-    start, or beyond the grid end are rejected.
+    start, or beyond the grid end are rejected, and so is a target that is
+    no finite probability above 0.
     """
+    if not 0 < target < math.inf:  # NaN fails this too
+        raise ValueError(f"target {target} is not a finite probability above 0")
     if target < curve.tail_resolution:
         raise ValueError(f"target {target} below resolution {curve.tail_resolution} of this curve")
     p = curve.probabilities

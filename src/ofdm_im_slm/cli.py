@@ -15,9 +15,10 @@ not the usage), invalid configuration or malformed input (an
 --out that names no file among them), a run
 whose largest array would hold more than ccdf.MAX_PLAN_ELEMENTS values, or
 an analyze-perm run over MAX_MU_GRID_VALUES grid values; 3 unwritable
-output path; 130 interrupted (Ctrl-C), with no output left behind. All
-randomized outputs are fully determined by --seed; --workers never changes
-results.
+output path; 130 interrupted (Ctrl-C), with no output left behind; 141
+(128 + SIGPIPE) stdout closed by its reader, as in a pipe into head, with
+no line on stderr and no partial output file. All randomized outputs are
+fully determined by --seed; --workers never changes results.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .ccdf import (
     plan_json_doc,
     run_ccdf,
 )
-from .core import GroupSap, Sap, SystemConfig, sample_random_sap
+from .core import GroupSap, Sap, SystemConfig, _as_int, sample_random_sap
 from .slm import (
     gen_hadamard_pss,
     gen_perm_set,
@@ -102,7 +103,7 @@ def _build_cfg(args) -> SystemConfig:
             active=args.active,
             mod_order=args.mod_order,
         )
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise CliError(2, f"invalid configuration: {e}")
 
 
@@ -279,8 +280,10 @@ def cmd_ccdf(args) -> int:
     except ValueError as e:
         raise CliError(2, f"invalid plan: {e}")
 
-    if args.workers < 1:
-        raise CliError(2, f"--workers must be >= 1, got {args.workers}")
+    try:
+        _as_int("--workers", args.workers, 1)
+    except ValueError as e:
+        raise CliError(2, str(e))
     try:
         plan.generator_sets  # built and checked once, here
     except ValueError as e:
@@ -502,10 +505,21 @@ def _join_negative_gamma(argv: list) -> list:
 
 def main(argv=None) -> int:
     try:
-        argv = _join_negative_gamma(sys.argv[1:] if argv is None else list(argv))
-        # --help and --version still print and raise SystemExit(0)
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            argv = _join_negative_gamma(sys.argv[1:] if argv is None else list(argv))
+            # --help and --version still print and raise SystemExit(0)
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            # a reader of stdout that has gone (a pipe into head) shows here,
+            # and not in the interpreter's own flush at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the flush at exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -14,10 +14,33 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+
+def _as_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a Python int: the one check of every count, index and lag
+    that the public API takes.
+
+    Python and numpy integers pass and come back as ``int``, so a stored
+    field writes the same JSON and CSV bytes whatever integer type it was
+    given. A bool, a float (``2.0`` too), a string or None raises one
+    ValueError that names the argument, and so does a value below
+    ``minimum``.
+    """
+    try:
+        # operator.index takes a bool as an integer; a count never is one
+        out = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        out = None
+    if out is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and out < minimum:
+        raise ValueError(f"{name} must be >= {minimum}: {out} is not at least {minimum}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -36,6 +59,8 @@ class SystemConfig:
     mod_order: int
 
     def __post_init__(self):
+        for name in ("n_fft", "group_size", "active", "mod_order"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         N, n, k, M = self.n_fft, self.group_size, self.active, self.mod_order
         if N < 2 or N & (N - 1):
             raise ValueError(f"n_fft must be a power of two >= 2, got {N}")
@@ -113,6 +138,7 @@ class Constellation:
     @classmethod
     def psk(cls, order: int) -> "Constellation":
         """Unit-modulus PSK set; order 4 is the standard QPSK grid (+-1+-j)/sqrt(2)."""
+        order = _as_int("order", order)
         offset = np.pi / 4 if order == 4 else 0.0
         return cls(np.exp(1j * (offset + 2 * np.pi * np.arange(order) / order)))
 
@@ -172,6 +198,7 @@ class Sap:
 
 def subset_unrank(rank: int, n: int, k: int) -> tuple:
     """k-subset of {0..n-1} with lexicographic rank ``rank`` (rank 0 -> {0..k-1})."""
+    rank, n, k = _as_int("rank", rank), _as_int("n", n), _as_int("k", k)
     if not 0 <= rank < math.comb(n, k):
         raise ValueError(f"rank {rank} out of range for C({n},{k})")
     out = []
@@ -189,7 +216,7 @@ def subset_unrank(rank: int, n: int, k: int) -> tuple:
 
 def subset_rank(rows, n: int) -> int:
     """Inverse of subset_unrank for a sorted subset of {0..n-1}."""
-    rows = tuple(rows)
+    rows, n = tuple(rows), _as_int("n", n)
     k = len(rows)
     rank = 0
     prev = -1
@@ -248,6 +275,7 @@ def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generat
     the picks are written as int32, so an n_fft above 2^31, whose indices
     would wrap, is refused before anything is drawn or allocated.
     """
+    trials = _as_int("trials", trials, 0)
     if cfg.n_fft > 1 << 31:
         raise ValueError(f"n_fft={cfg.n_fft} is above 2^31: its subcarrier indices do not fit in int32")
     n, k, G = cfg.group_size, cfg.active, cfg.num_groups
@@ -337,8 +365,7 @@ def oversampled_idft(block: np.ndarray, factor: int) -> np.ndarray:
     Indices at or above n_fft/2 are treated as negative frequencies, so the
     result interpolates the Nyquist-rate signal. factor == 1 returns idft().
     """
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("oversampling factor must be a positive integer")
+    factor = _as_int("oversampling factor", factor, 1)
     block = np.asarray(block)
     if factor == 1:
         return idft(block)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SystemConfig
+from .core import SystemConfig, _as_int
 
 # Feedback polynomials x^m + ... + 1 known to generate maximal-length
 # sequences, given as exponent tuples. Each entry is re-verified at
@@ -43,6 +43,7 @@ class MlsSpec:
     taps: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", _as_int("degree", self.degree))
         taps = tuple(self.taps) if self.taps else PRIMITIVE_POLYS.get(self.degree)
         if taps is None:
             raise ValueError(f"no built-in polynomial for degree {self.degree}; pass taps")
@@ -136,6 +137,7 @@ class PhaseSequenceSet:
 
 def gen_hadamard_pss(cfg: SystemConfig, u: int) -> PhaseSequenceSet:
     """First u rows of the cyclic Hadamard matrix as a PSS (row 0 = all-ones)."""
+    u = _as_int("u", u)
     if not 1 <= u <= cfg.n_fft:
         raise ValueError(f"u={u} is not in 1..n_fft={cfg.n_fft}")
     degree = cfg.n_fft.bit_length() - 1
@@ -147,9 +149,7 @@ def gen_random_pss(
     cfg: SystemConfig, u: int, rng: np.random.Generator, alphabet: str = "quaternary"
 ) -> PhaseSequenceSet:
     """i.i.d. random phase sequences: binary +-1, quaternary +-1/+-j, or continuous phase."""
-    n = cfg.n_fft
-    if u < 1:
-        raise ValueError(f"u={u} is not at least 1")
+    n, u = cfg.n_fft, _as_int("u", u, 1)
     if alphabet == "binary":
         seq = (1.0 - 2.0 * rng.integers(0, 2, (u, n))).astype(complex)
     elif alphabet == "quaternary":
@@ -214,9 +214,7 @@ def gen_perm_set(
     random:   each row permutes every group's rows independently and uniformly
     identity: all rows are the identity (draws nothing)
     """
-    N, n, G = cfg.n_fft, cfg.group_size, cfg.num_groups
-    if u < 1:
-        raise ValueError(f"u={u} is not at least 1")
+    N, n, G, u = cfg.n_fft, cfg.group_size, cfg.num_groups, _as_int("u", u, 1)
     if kind == "identity":
         perms = np.tile(np.arange(N, dtype=np.intp), (u, 1))
     elif kind == "random":
@@ -327,11 +325,10 @@ def candidate_paprs_db(
     power of two, and the result is bit-identical to taking the peaks of
     ``core.oversampled_idft``.
     """
-    if oversample < 1 or int(oversample) != oversample:
-        raise ValueError("oversampling factor must be a positive integer")
+    n, oversample = _as_int("n_fft", n_fft), _as_int("oversampling factor", oversample, 1)
     positions, symbol_index = _indices("positions", positions), _indices("symbol_index", symbol_index)
     perm_inv, symbols, pss_seq = _indices("perm_inv", perm_inv), np.asarray(symbols), np.asarray(pss_seq)
-    n, u = int(n_fft), pss_seq.shape[0]
+    u = pss_seq.shape[0]
     if pss_seq.ndim != 2 or u < 1 or pss_seq.shape[1] != n:
         raise ValueError(f"pss_seq of shape {pss_seq.shape} must be U >= 1 phase rows of length {n}")
     if positions.ndim != 2 or positions.shape != symbol_index.shape or symbols.ndim != 1:
@@ -347,7 +344,7 @@ def candidate_paprs_db(
     # the candidate gather clips its indices instead of checking them
     if perm_inv.shape != (u, n) or perm_inv.min() < 0 or perm_inv.max() >= n:
         raise ValueError(f"perm_inv must be {u} x {n} indices in 0..{n - 1}")
-    rows, width = positions.shape[0], n * int(oversample)
+    rows, width = positions.shape[0], n * oversample
     step = max(1, _TILE_OUTPUTS // (u * width))
     tile = min(rows, step)
     # a tile's block is dead once the candidate gather has read it, and its

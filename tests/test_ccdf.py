@@ -1,5 +1,6 @@
 import multiprocessing
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -171,9 +172,11 @@ def test_pool_never_larger_than_batch_count(monkeypatch):
     for workers, size in ((2, 2), (3, 3), (8, 3), (1000, 3)):
         assert np.array_equal(run_ccdf(plan, workers=workers).counts, serial.counts)
         assert context.pool_sizes.pop() == size
-    # one batch, or a worker count below 1, runs here without a pool
+    # one batch runs here without a pool, and a worker count below 1 is
+    # refused before anything runs
     run_ccdf(make_plan(trials=BATCH_TRIALS), workers=8)
-    run_ccdf(plan, workers=0)
+    with pytest.raises(ValueError, match="^workers must be >= 1"):
+        run_ccdf(plan, workers=0)
     assert context.pool_sizes == []
 
 
@@ -505,6 +508,15 @@ def test_papr_at_ccdf_unreachable_target():
         papr_at_ccdf(curve, 1e-1)
     with pytest.raises(ValueError, match="above curve start"):
         papr_at_ccdf(curve, 0.95)
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf"), 0.0, -0.1])
+def test_papr_at_ccdf_refuses_a_target_that_is_no_probability(target):
+    # NaN read "curve stays above target nan", and the others were read
+    # against the curve's resolution or start
+    curve = CcdfCurve(gamma_db=np.array([5.0, 6.0]), counts=np.array([1000, 10]), trials=10000)
+    with pytest.raises(ValueError, match=f"^target {re.escape(str(target))} is not a finite probability above 0$"):
+        papr_at_ccdf(curve, target)
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,24 @@ def test_ccdf_ctrl_c_ends_a_two_worker_run_with_one_line(tmp_path):
         os.killpg(proc.pid, 0)
 
 
+@pytest.mark.parametrize("argv", [["analyze-perm", "--u", "4", "--seed", "1"], ["verify-var-rho", "--trials", "200"]])
+def test_closed_stdout_ends_quietly_with_exit_141(tmp_path, argv):
+    # the read end is closed before the run starts, so every write to stdout
+    # fails; this ended in a BrokenPipeError traceback and exit 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ccdf.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ofdm_im_slm.cli", *argv, *BASE], cwd=tmp_path, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.returncode == 141 and proc.stderr.count("\n") <= 1
+    assert os.listdir(tmp_path) == []
+
+
 # each value is valid in at least three draws of four, so that runs that
 # succeed are common too
 SMALL_INT = st.sampled_from(["1", "2"]) | st.sampled_from(["-1", "0", "1", "2"])
