@@ -15,24 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sap, SystemConfig, _as_int, draw_active_positions
-from .slm import PermutationSet, PhaseSequenceSet
+from .core import Sap, SystemConfig, _as_indices, _as_int, draw_active_positions
+from .slm import PermutationSet, PhaseSequenceSet, _permutation_rows
 
 
 def _active_indices(sap, n: int) -> np.ndarray:
-    """Sorted indices of a Sap or of a collection of active indices in 0..n-1.
-
-    An entry that repeats, lies outside 0..n-1 or differs from its integer
-    value (2.5, "2") raises ValueError.
-    """
-    given = tuple(sap.active if isinstance(sap, Sap) else sap)
-    try:
-        active = tuple(int(i) for i in given)
-    except (OverflowError, TypeError, ValueError):  # an entry with no integer value: inf, NaN, "a"
-        active = None
-    if active != given or len(set(active)) != len(active) or not all(0 <= i < n for i in active):
-        raise ValueError(f"active indices must be distinct integer values in 0..{n - 1}")
-    return np.asarray(sorted(active), dtype=np.intp)
+    """Sorted indices of a Sap or of a collection of distinct active indices in 0..n-1."""
+    return np.asarray(sorted(_as_indices("sap", sap.active if isinstance(sap, Sap) else sap, n)), dtype=np.intp)
 
 
 def rho_profile(sap, cfg: SystemConfig) -> np.ndarray:
@@ -189,11 +178,12 @@ def mu_metric(d1: np.ndarray, d2: np.ndarray, cfg: SystemConfig) -> MuReport:
     Builds the magnitude |sum_i' exp(j*2*pi*(i'*m - e(i')*l)/N)| for every
     (l, m), where e = d1 o d2^{-1}, and returns the population variance of
     the N^2 values. Identity pairs give exactly N - 1 (grid is N on the
-    diagonal, 0 elsewhere).
+    diagonal, 0 elsewhere). d1 and d2 must be permutations of 0..N-1.
     """
     N, d1, d2 = cfg.n_fft, np.asarray(d1), np.asarray(d2)
     if d1.shape != (N,) or d2.shape != (N,):
         raise ValueError(f"d1 of shape {d1.shape} and d2 of shape {d2.shape} must each be one row of n_fft={N}")
+    d1, d2 = _permutation_rows("d1", d1), _permutation_rows("d2", d2)
     e = d1[np.argsort(d2)]
     phase = np.exp(-2j * np.pi * np.outer(np.arange(N), e) / N)  # rows: l
     grid = np.abs(np.fft.ifft(phase, axis=1)) * N

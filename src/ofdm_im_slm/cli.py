@@ -55,6 +55,7 @@ from .ccdf import (
 )
 from .core import GroupSap, Sap, SystemConfig, _as_int, sample_random_sap
 from .slm import (
+    HADAMARD_N_FFT,
     gen_hadamard_pss,
     gen_perm_set,
     gen_random_pss,
@@ -433,12 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ofdm-im-slm", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"ofdm-im-slm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    hadamard = "hadamard (n_fft {}..{})".format(*HADAMARD_N_FFT)
 
     p = sub.add_parser("ccdf", help="run a Monte-Carlo CCDF experiment")
     _add_config_args(p, active_default=2)
     p.add_argument("--scheme", choices=("original", "slm"), default="slm")
     p.add_argument("--u", type=int, default=None, help="SLM branches (default 4)")
-    p.add_argument("--pss", default=None, help="random, hadamard, or a PSS JSON file")
+    p.add_argument("--pss", default=None, help=f"random, {hadamard}, or a PSS JSON file")
     p.add_argument("--perm", default=None, help="identity, random, or a permutation JSON file")
     p.add_argument("--pss-alphabet", choices=("binary", "quaternary", "continuous"), default="quaternary")
     p.add_argument("--sap-source", choices=("uniform", "bits"), default="uniform")
@@ -463,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-pss", help="cross-correlation spectra of a PSS pair")
     _add_config_args(p, active_default=2)
     p.add_argument("--pss-file", default=None, help="PSS JSON file")
-    p.add_argument("--pss", choices=("random", "hadamard"), default="random")
+    p.add_argument("--pss", choices=("random", "hadamard"), default="random",
+                   help=f"random, or {hadamard}")
     p.add_argument("--pss-alphabet", choices=("binary", "quaternary", "continuous"), default="quaternary")
     p.add_argument("--u", type=int, default=2)
     p.add_argument("--pair", type=int, nargs=2, default=(0, 1), metavar=("U", "V"))

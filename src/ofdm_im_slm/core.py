@@ -14,7 +14,9 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -40,6 +42,44 @@ def _as_int(name: str, value, minimum: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and out < minimum:
         raise ValueError(f"{name} must be >= {minimum}: {out} is not at least {minimum}")
+    return out
+
+
+def _as_index(value) -> int | None:
+    """``value`` as an int if it is a real number equal to one, else None."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        out = int(value)
+    except (OverflowError, ValueError):  # inf, NaN
+        return None
+    return out if out == value else None
+
+
+def _shown(value) -> str:
+    """``value`` shortened to one short line for a refusal message."""
+    return " ".join(reprlib.repr(value).split())
+
+
+def _as_indices(name: str, values, n: int | None = None) -> tuple:
+    """``values`` as a tuple of distinct Python ints, each >= 0 and, when ``n``
+    is given, below ``n``: the one check of every collection of indices that
+    the public API takes.
+
+    An entry equal to its integer value passes (``1.0``, ``np.int64(3)``).
+    A bool, an entry with no integer value (0.5, ``"1"``, NaN, inf, None, a
+    list, a complex), a repeat or an entry out of range raises one
+    ValueError that names the collection, and so does a value that is no
+    collection.
+    """
+    try:
+        given = tuple(values)
+    except TypeError:  # no collection: refused as one entry that is no index
+        given = (None,)
+    out = tuple(map(_as_index, given))
+    if None in out or len(set(out)) != len(out) or (out and (min(out) < 0 or (n is not None and max(out) >= n))):
+        bound = "nonnegative integers" if n is None else f"integer values in 0..{n - 1}"
+        raise ValueError(f"{name} must be distinct {bound}, got {_shown(values)}")
     return out
 
 
@@ -150,15 +190,15 @@ class GroupSap:
     rows: tuple
 
     def __post_init__(self):
-        given = tuple(self.rows)
-        try:
-            rows = tuple(int(r) for r in given)
-        except (OverflowError, ValueError):  # an entry with no integer value: inf, NaN, "a"
-            rows = None
-        # an entry such as 0.5 or "1" differs from its integer value
-        if rows != given or sorted(set(rows)) != list(rows) or (rows and rows[0] < 0):
-            raise ValueError(f"rows must be sorted, distinct, nonnegative integers: {given}")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _sorted_rows(self.rows))
+
+
+def _sorted_rows(rows, n: int | None = None) -> tuple:
+    """``rows`` as a sorted tuple of distinct indices (below ``n`` if given)."""
+    rows = _as_indices("rows", rows, n)
+    if list(rows) != sorted(rows):
+        raise ValueError(f"rows must be sorted, got {_shown(rows)}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -216,7 +256,8 @@ def subset_unrank(rank: int, n: int, k: int) -> tuple:
 
 def subset_rank(rows, n: int) -> int:
     """Inverse of subset_unrank for a sorted subset of {0..n-1}."""
-    rows, n = tuple(rows), _as_int("n", n)
+    n = _as_int("n", n)
+    rows = _sorted_rows(rows, n)
     k = len(rows)
     rank = 0
     prev = -1

@@ -33,6 +33,9 @@ PRIMITIVE_POLYS = {
     9: (9, 4, 0),
     10: (10, 3, 0),
 }
+# n_fft range of the cyclic Hadamard PSS: one built-in polynomial per degree.
+# No more are added, as the matrix is built N x N (512 MB at N = 8192).
+HADAMARD_N_FFT = (1 << min(PRIMITIVE_POLYS), 1 << max(PRIMITIVE_POLYS))
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,12 @@ class PhaseSequenceSet:
 def gen_hadamard_pss(cfg: SystemConfig, u: int) -> PhaseSequenceSet:
     """First u rows of the cyclic Hadamard matrix as a PSS (row 0 = all-ones)."""
     u = _as_int("u", u)
+    degree = cfg.n_fft.bit_length() - 1
+    if degree not in PRIMITIVE_POLYS:
+        lo, hi = HADAMARD_N_FFT
+        raise ValueError(f"cyclic Hadamard phase sequences need n_fft in {lo}..{hi}, got n_fft={cfg.n_fft}")
     if not 1 <= u <= cfg.n_fft:
         raise ValueError(f"u={u} is not in 1..n_fft={cfg.n_fft}")
-    degree = cfg.n_fft.bit_length() - 1
     h = cyclic_hadamard_matrix(degree)
     return PhaseSequenceSet(h[:u].astype(complex), kind="cyclic-hadamard")
 
@@ -183,10 +189,7 @@ class PermutationSet:
         rows = np.atleast_2d(np.asarray(self.perms))
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("need a 2-D array of at least one permutation")
-        # checked before the cast, so that an entry such as 2.5 or "2" is refused
-        if rows.dtype.kind not in "iuf" or np.any(np.sort(rows, axis=1) != np.arange(rows.shape[1])):
-            raise ValueError("each row must be a permutation of 0..n_fft-1")
-        object.__setattr__(self, "perms", rows.astype(np.intp, copy=False))
+        object.__setattr__(self, "perms", _permutation_rows("each row", rows))
 
     @property
     def u(self) -> int:
@@ -204,6 +207,17 @@ class PermutationSet:
         if np.any(self.perms % G != np.arange(N) % G):
             raise ValueError("permutation leaves a group (residue class mod G not preserved)")
         return self
+
+
+def _permutation_rows(name: str, rows: np.ndarray) -> np.ndarray:
+    """``rows`` as intp if each row along the last axis is a permutation of
+    its indices, else ValueError that names them.
+
+    Checked before the cast, so that an entry such as 2.5 or "2" is refused.
+    """
+    if rows.dtype.kind not in "iuf" or np.any(np.sort(rows, axis=-1) != np.arange(rows.shape[-1])):
+        raise ValueError(f"{name} must be a permutation of 0..n_fft-1")
+    return rows.astype(np.intp, copy=False)
 
 
 def gen_perm_set(
@@ -328,9 +342,9 @@ def candidate_paprs_db(
     n, oversample = _as_int("n_fft", n_fft), _as_int("oversampling factor", oversample, 1)
     positions, symbol_index = _indices("positions", positions), _indices("symbol_index", symbol_index)
     perm_inv, symbols, pss_seq = _indices("perm_inv", perm_inv), np.asarray(symbols), np.asarray(pss_seq)
-    u = pss_seq.shape[0]
-    if pss_seq.ndim != 2 or u < 1 or pss_seq.shape[1] != n:
+    if pss_seq.ndim != 2 or pss_seq.shape[0] < 1 or pss_seq.shape[1] != n:
         raise ValueError(f"pss_seq of shape {pss_seq.shape} must be U >= 1 phase rows of length {n}")
+    u = pss_seq.shape[0]
     if positions.ndim != 2 or positions.shape != symbol_index.shape or symbols.ndim != 1:
         raise ValueError(
             f"positions {positions.shape} and symbol indices {symbol_index.shape} must be the same (rows, K) "

@@ -69,6 +69,16 @@ def test_scheme_validation():
     SchemeDescriptor(mode="slm", u=1, pss_kind="all-ones")
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: SchemeDescriptor(mode="bogus"), "unknown mode 'bogus'"),
+    (lambda: SchemeDescriptor(mode="slm", u=2, perm_kind="pinned"), "pinned perm_kind requires pinned_perms"),
+    (lambda: CcdfCurve(gamma_db=np.array([4.0, 5.0]), counts=np.array([3]), trials=10), "differ in length"),
+], ids=["unknown-mode", "pinned-perms-missing", "curve-lengths-differ"])
+def test_scheme_and_curve_refuse_malformed_fields(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_pinned_permutations_must_stay_in_their_groups():
     # a bijection that swaps subcarriers 0 and 1, which lie in different groups
     d = np.arange(CFG.n_fft)

@@ -611,6 +611,15 @@ def test_analyze_perm_single_perm_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_analyze_perm_one_row_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "perm.json"
+    path.write_text(json.dumps(perm_set_to_json(gen_perm_set(CFG, 1, "identity"))))
+    rc = run_cli(["analyze-perm", "--n-fft", "64", "--group-size", "16", "--perm-file", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: need at least two permutations to form a pair\n"
+
+
 def fail_if_called(*args, **kwargs):
     raise AssertionError("ran past the check")
 
@@ -694,6 +703,20 @@ def test_analyze_pss_bad_sap_file(tmp_path):
     sap_file.write_text(json.dumps({"groups": [[0, 1]]}))  # wrong group count
     rc = run_cli(["analyze-pss", *BASE, "--sap-file", str(sap_file), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("n_fft", ["4", "2048"])
+@pytest.mark.parametrize("command", ["ccdf", "analyze-pss"])
+def test_hadamard_pss_outside_its_n_fft_range_exit_2(tmp_path, capsys, command, n_fft):
+    # the message was "no built-in polynomial for degree 11; pass taps", but
+    # the CLI takes no taps
+    argv = [command, "--n-fft", n_fft, "--group-size", "4", "--active", "2", "--pss", "hadamard", "--u", "2"]
+    out = ["--trials", "10", "--out", str(tmp_path / "x")] if command == "ccdf" else ["--out", str(tmp_path / "x.csv")]
+    rc = run_cli(argv + out)
+    err = capsys.readouterr().err
+    assert rc == 2 and not list(tmp_path.iterdir())
+    what = "invalid generator sets" if command == "ccdf" else "invalid PSS"
+    assert err == f"error: {what}: cyclic Hadamard phase sequences need n_fft in 8..1024, got n_fft={n_fft}\n"
 
 
 def test_analyze_pss_too_many_hadamard_rows_exit_2(tmp_path, capsys):

@@ -116,6 +116,16 @@ def test_gen_hadamard_pss():
         gen_hadamard_pss(CFG, 65)
 
 
+@pytest.mark.parametrize("n_fft", [4, 2048])
+def test_gen_hadamard_pss_names_its_n_fft_range(n_fft):
+    # the advice was "no built-in polynomial for degree 11; pass taps", and
+    # neither this function nor the CLI takes taps
+    cfg = SystemConfig(n_fft=n_fft, group_size=4, active=2, mod_order=4)
+    message = rf"^cyclic Hadamard phase sequences need n_fft in 8\.\.1024, got n_fft={n_fft}$"
+    with pytest.raises(ValueError, match=message):
+        gen_hadamard_pss(cfg, 2)
+
+
 @pytest.mark.parametrize("u", [0, -1])
 def test_gen_hadamard_pss_rejects_nonpositive_u(u):
     # h[:u] with u <= 0 would silently drop rows instead of failing
@@ -221,6 +231,15 @@ def test_gen_perm_set_refuses_fewer_than_one_row(kind, u):
         gen_perm_set(CFG, u, kind, np.random.default_rng(0))
     with pytest.raises(ValueError, match="not at least 1"):
         gen_random_pss(CFG, u, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind,rng,message", [
+    ("random", None, "random permutation set needs an rng"),
+    ("bogus", np.random.default_rng(0), "unknown permutation kind 'bogus'"),
+], ids=["random-without-rng", "unknown-kind"])
+def test_gen_perm_set_refuses_an_unknown_kind_or_a_missing_rng(kind, rng, message):
+    with pytest.raises(ValueError, match=message):
+        gen_perm_set(CFG, 2, kind, rng)
 
 
 def test_permutation_set_refuses_an_empty_set():
@@ -474,8 +493,9 @@ def test_candidate_paprs_refuse_inverse_permutations_outside_the_block(bad):
     ("pss_seq", lambda a: a["pss_seq"][:, :32]),
     ("pss_seq", lambda a: a["pss_seq"][0]),
     ("pss_seq", lambda a: a["pss_seq"][:0]),
+    ("pss_seq", lambda a: a["pss_seq"][0, 0]),
 ], ids=["bool-positions", "float-positions", "uint64-positions", "float-symbol-index",
-        "float-perm-inv", "short-phase-rows", "one-phase-row", "no-phase-rows"])
+        "float-perm-inv", "short-phase-rows", "one-phase-row", "no-phase-rows", "zero-d-phase-rows"])
 def test_candidate_paprs_refuse_malformed_arguments_by_name(name, bad):
     rng = np.random.default_rng(23)
     args = {
