@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sap, SystemConfig, _as_indices, _as_int, draw_active_positions
+from .core import Sap, SystemConfig, _as_indices, _as_int, _shuffled_picks, draw_active_positions
 from .slm import PermutationSet, PhaseSequenceSet, _permutation_rows
 
 
@@ -55,7 +55,9 @@ def var_rho_empirical(cfg: SystemConfig, m: int, trials: int, rng: np.random.Gen
     """Sample variance E|rho|^2 - |E rho|^2 of rho(m) over uniform pattern draws.
 
     rho(m) has period N in m, so the lag is taken mod N before its phases
-    are built; any integer lag is valid.
+    are built; any integer lag is valid. The draw is sorted: the row sums
+    add in column order, so the order of the picks reaches the result's
+    last bits.
     """
     m, trials = _as_int("m", m) % cfg.n_fft, _as_int("trials", trials, 1)
     pos = draw_active_positions(cfg, trials, rng)
@@ -65,7 +67,7 @@ def var_rho_empirical(cfg: SystemConfig, m: int, trials: int, rng: np.random.Gen
 
 
 # patterns per chunk of var_rho_empirical_profile: the draw of one chunk is one
-# draw_active_positions call, so the chunk size is part of the stream
+# _shuffled_picks call, so the chunk size is part of the stream
 VAR_RHO_CHUNK = 20000
 # complex values (512 KiB) per tile that a chunk's patterns are transformed in;
 # the sums add row by row, so the tile size changes no output bit
@@ -77,7 +79,11 @@ def var_rho_empirical_profile(
 ) -> np.ndarray:
     """Empirical variance of rho(m) for every lag m at once (chunked FFT).
 
-    Each chunk's patterns go through tiles of about _VAR_RHO_TILE values.
+    Each chunk's patterns are one ``_shuffled_picks`` draw, the stream of
+    ``draw_active_positions`` without its sort: a tile scatters 1.0 at
+    each active index, which gives the same array in any column order, so
+    the profile is the one of the sorted draw, bit for bit. The patterns
+    go through tiles of about _VAR_RHO_TILE values.
     Row 0 of both tile buffers carries the chunk's running sums, so each
     sum over [carry, tile rows] adds row by row, in the order of one sum
     over the whole chunk.
@@ -100,7 +106,7 @@ def var_rho_empirical_profile(
     done = 0
     while done < trials:
         b = min(chunk, trials - done)
-        pos = draw_active_positions(cfg, b, rng)
+        pos = _shuffled_picks(cfg, b, rng).reshape(b, cfg.total_active)
         rho[0] = 0.0
         abs2[0] = 0.0
         for t0 in range(0, b, tile):

@@ -299,15 +299,16 @@ def _group_sap(rank: int, n: int, k: int) -> GroupSap:
     return GroupSap(subset_unrank(rank, n, k))
 
 
-# values per in-place shuffle call of draw_active_positions: one 512 KiB buffer
+# values per in-place shuffle call of _shuffled_picks: one 512 KiB buffer
 _SHUFFLE_VALUES = 1 << 16
 
 
-def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """(trials, K) int32 active subcarrier indices, uniform over all C(n,k)^G patterns.
+def _shuffled_picks(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """(trials, G, k) int32 flat indices G*r + g of uniform activation patterns.
 
-    Columns run group by group, sorted rows within each group; group g draws
-    one row-wise shuffle of all trials before group g+1. The shuffles run in
+    Group g draws one row-wise shuffle of all trials before group g+1, and
+    each row of ``[:, g]`` holds the first k entries r of its shuffle in
+    the order the shuffle leaves them, not sorted. The shuffles run in
     place in one buffer of about _SHUFFLE_VALUES values: several groups'
     rows, group-major, share one call when trials is small, and one group's
     rows go through several calls when trials is large. ``rng.permuted``
@@ -332,12 +333,28 @@ def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generat
             rows = buf[: gc * t]
             rows[...] = np.arange(n)
             rng.permuted(rows, axis=1, out=rows)
-            # flat indices in the contiguous intp picks, then one casting copy
-            picks = np.sort(rows[:, :k], axis=1).reshape(gc, t, k)
+            # flat indices in contiguous intp picks, then one casting copy; a
+            # multiply of the strided slice would hold a second copy of it
+            picks = rows[:, :k].copy().reshape(gc, t, k)
             picks *= G
             picks += np.arange(g0, g0 + gc)[:, None, None]
             out[s : s + t, g0 : g0 + gc] = picks.transpose(1, 0, 2)
-    return out.reshape(trials, G * k)
+    return out
+
+
+def draw_active_positions(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """(trials, K) int32 active subcarrier indices, uniform over all C(n,k)^G patterns.
+
+    Columns run group by group, sorted within each group: ``_shuffled_picks``
+    with each group's k picks sorted in place. The sort draws nothing, so
+    the stream and the generator state are those of ``_shuffled_picks``.
+    A caller that reads only the set of active indices, such as a scatter
+    of ones, can take ``_shuffled_picks`` and skip the sort; a caller that
+    pairs columns with other values or adds them in column order needs it.
+    """
+    out = _shuffled_picks(cfg, trials, rng)
+    out.sort(axis=-1)
+    return out.reshape(len(out), cfg.total_active)
 
 
 def sample_random_sap(cfg: SystemConfig, rng: np.random.Generator) -> Sap:

@@ -91,10 +91,10 @@ def cyclic_hadamard_matrix(degree: int) -> np.ndarray:
     of the sequence makes the rows mutually orthogonal.
     """
     b = 1.0 - 2.0 * gen_mls(MlsSpec(degree)).astype(float)  # bit 0 -> +1, bit 1 -> -1
-    size = b.size + 1
-    h = np.ones((size, size))
-    for s in range(size - 1):
-        h[1 + s, 1:] = np.roll(b, -s)
+    shift = np.arange(b.size)
+    h = np.ones((b.size + 1, b.size + 1))
+    # core row s is b rotated left by s: entry (s, j) is b[(s + j) mod (N - 1)]
+    h[1:, 1:] = b[(shift[:, None] + shift) % b.size]
     return h
 
 

@@ -110,8 +110,11 @@ def test_each_run_records_the_host_probe_and_each_side_its_quartiles(tmp_path, m
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, *a: run(42.0 if tree == "p" else 41.0))
     args = argparse.Namespace(title="", parent="HEAD", claim=[], out=tmp_path / "bench.json")
     bench = {"end_to_end": [RSS]}
-    bench_pairs.run_sets(args, bench, [("ccdf_sparse", 1)], 0, {"parent": "p", "change": "c"})
-    doc = json.loads(args.out.read_text())["workloads"]["ccdf_sparse@seed1"]
+    # the hash is resolved by main, so this needs no git checkout
+    bench_pairs.run_sets(args, bench, [("ccdf_sparse", 1)], 0, {"parent": "p", "change": "c"}, "0" * 40)
+    record = json.loads(args.out.read_text())
+    assert record["parent"] == "0" * 40
+    doc = record["workloads"]["ccdf_sparse@seed1"]
     # pair i runs its first side with probe 2i + 1 and its second with 2i + 2
     firsts = [2 * i + 1 for i in range(bench_pairs.PAIRS)]
     parent = [f if i % 2 == 0 else f + 1 for i, f in enumerate(firsts)]

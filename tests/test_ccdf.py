@@ -366,6 +366,15 @@ def test_exceedance_counts_match_broadcast_comparison():
     assert np.array_equal(counts, np.sum(values[:, None] > GAMMA[None, :], axis=0))
     on_grid = _exceedance_counts(GAMMA[[10]], GAMMA)
     assert on_grid[10] == 0 and on_grid[9] == 1
+    # every value on a grid point, repeated: none is above its own point
+    repeated = np.repeat(GAMMA, 3)
+    assert np.array_equal(_exceedance_counts(repeated, GAMMA), 3 * np.arange(GAMMA.size)[::-1])
+    # NaN is above every grid point, wherever it sits among the values
+    with_nan = np.concatenate([[np.nan], values, [np.nan]])
+    assert np.array_equal(_exceedance_counts(with_nan, GAMMA), counts + 2)
+    assert np.array_equal(_exceedance_counts(np.array([np.nan]), GAMMA), np.ones(GAMMA.size, dtype=np.int64))
+    empty = _exceedance_counts(np.array([]), GAMMA)
+    assert empty.dtype == np.int64 and np.array_equal(empty, np.zeros(GAMMA.size, dtype=np.int64))
 
 
 def test_generator_sets_built_once_per_plan():

@@ -394,6 +394,16 @@ def test_draw_active_positions_equals_one_shuffle_per_group(cfg, trials):
     # the generator is left in the same state, so the next draw agrees too
     assert np.array_equal(draw_active_positions(cfg, 3, a), draw_active_positions_oracle(cfg, 3, b))
     assert a.bit_generator.state == b.bit_generator.state
+    # the unsorted picks: the same stream and state, the oracle once sorted,
+    # and column g of every row only indices of group g
+    c = np.random.default_rng(trials)
+    picks = core._shuffled_picks(cfg, trials, c)
+    G = cfg.num_groups
+    assert picks.dtype == np.int32 and picks.shape == (trials, G, cfg.active)
+    assert np.array_equal(np.sort(picks, axis=-1).reshape(trials, cfg.total_active), want)
+    assert np.all(picks % G == np.arange(G)[:, None])
+    draw_active_positions(cfg, 3, c)
+    assert c.bit_generator.state == b.bit_generator.state
 
 
 def test_draw_active_positions_refuses_positions_beyond_int32():

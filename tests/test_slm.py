@@ -28,6 +28,7 @@ from ofdm_im_slm import (
     punctured_spectrum,
     slm_select,
 )
+from ofdm_im_slm.slm import PRIMITIVE_POLYS
 from oracles import apply_permutation, assemble_block, permute_sap
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
@@ -99,10 +100,15 @@ def test_cyclic_hadamard_orthogonality(degree):
 
 
 def test_hadamard_core_is_circulant():
-    b = 1.0 - 2.0 * gen_mls(MlsSpec(3))  # bit 0 -> +1, bit 1 -> -1
-    h = cyclic_hadamard_matrix(3)
-    for s in range(7):
-        assert np.array_equal(h[1 + s, 1:], np.roll(b, -s))
+    # the one-gather core equals the one built row by row with np.roll, at
+    # every built-in degree
+    for degree in PRIMITIVE_POLYS:
+        b = 1.0 - 2.0 * gen_mls(MlsSpec(degree))  # bit 0 -> +1, bit 1 -> -1
+        rolled = np.ones((b.size + 1, b.size + 1))
+        for s in range(b.size):
+            rolled[1 + s, 1:] = np.roll(b, -s)
+        h = cyclic_hadamard_matrix(degree)
+        assert h.dtype == rolled.dtype and h.tobytes() == rolled.tobytes()
 
 
 def test_gen_hadamard_pss():

@@ -204,18 +204,20 @@ def main(argv=None) -> int:
         trees = {"parent": work / "parent", "change": work / "change"}
         for tree in trees.values():
             tree.mkdir()
-        parent_tree(args.parent, trees["parent"])
+        parent = git("rev-parse", args.parent).decode().strip()
+        parent_tree(parent, trees["parent"])
         change_tree(trees["change"])
-        run_sets(args, bench, sets, seconds, trees)
+        run_sets(args, bench, sets, seconds, trees, parent)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0
 
 
-def run_sets(args, bench: dict, sets: list, seconds: float, trees: dict):
+def run_sets(args, bench: dict, sets: list, seconds: float, trees: dict, parent: str):
+    """Run the pairs of every set; ``parent`` is the commit hash the parent tree was made from."""
     doc = {
         "title": args.title,
-        "parent": git("rev-parse", args.parent).decode().strip(),
+        "parent": parent,
         "change": "the working tree at the commit that adds this file",
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "method": (
