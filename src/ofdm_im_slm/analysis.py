@@ -11,6 +11,7 @@ E|z|^2 - |Ez|^2 throughout.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,60 @@ VAR_RHO_CHUNK = 20000
 _VAR_RHO_TILE = 1 << 15
 
 
+class _DrawAhead:
+    """The chunks of patterns of one profile, drawn in order on one helper thread.
+
+    ``rng.permuted`` releases the GIL, so a draw runs beside the caller's
+    transforms, which hold it. The thread draws a chunk only once the
+    caller has taken the one before, so it is at most one chunk ahead.
+    ``picks`` returns the next chunk, or raises the exception its draw
+    raised; ``close`` stops the thread after its current draw and joins it.
+    One thread per call, not one per chunk: a thread that starts before the
+    last one has ended takes a malloc arena of its own, which RSS keeps.
+    """
+
+    def __init__(self, cfg: SystemConfig, trials: int, chunk: int, rng: np.random.Generator):
+        self._room, self._ready = threading.Semaphore(1), threading.Semaphore(0)
+        self._out, self._closed = None, False
+        # a daemon, so that a thread left by a Ctrl-C inside start() cannot
+        # hold up the interpreter's exit
+        self._thread = threading.Thread(
+            target=self._run, args=(cfg, trials, chunk, rng), name="var-rho-draw", daemon=True
+        )
+
+    def _run(self, cfg: SystemConfig, trials: int, chunk: int, rng: np.random.Generator):
+        for done in range(0, trials, chunk):
+            self._room.acquire()
+            if self._closed:
+                return
+            try:
+                out = _shuffled_picks(cfg, min(chunk, trials - done), rng)
+            except BaseException as e:  # raised again in the caller's thread
+                out = e
+            self._out = out
+            self._ready.release()
+            if isinstance(out, BaseException):
+                return
+
+    def start(self):
+        self._thread.start()
+
+    def picks(self) -> np.ndarray:
+        self._ready.acquire()
+        out, self._out = self._out, None
+        self._room.release()
+        if isinstance(out, BaseException):
+            raise out
+        return out
+
+    def close(self):
+        self._closed = True
+        self._room.release()
+        # a thread that never started, or has ended, is not alive
+        if self._thread.is_alive():
+            self._thread.join()
+
+
 def var_rho_empirical_profile(
     cfg: SystemConfig, trials: int, rng: np.random.Generator, chunk: int = VAR_RHO_CHUNK
 ) -> np.ndarray:
@@ -87,6 +142,16 @@ def var_rho_empirical_profile(
     Row 0 of both tile buffers carries the chunk's running sums, so each
     sum over [carry, tile rows] adds row by row, in the order of one sum
     over the whole chunk.
+
+    The draw runs one chunk ahead on a helper thread: chunk c+1 is drawn
+    while the caller's thread transforms chunk c, and every chunk, the
+    first and the only one included, is drawn there. So ``rng`` is used
+    from that thread during the call, and the caller must not draw from it
+    until the call ends. The chunks, their draw calls and their order are
+    those of a serial loop, so the stream, the final generator state and
+    every output bit are the same. The helper is joined before the call
+    returns or raises, Ctrl-C included, and an exception of either stage
+    reaches the caller as it was raised.
 
     The 1/K scale multiplies the float view by fl(1/K), which is what
     numpy's division of a complex array by a real K computes, at a fraction
@@ -103,27 +168,31 @@ def var_rho_empirical_profile(
     scale = 1.0 / cfg.total_active
     acc_abs2 = np.zeros(N)
     acc_mean = np.zeros(N, dtype=complex)
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        pos = _shuffled_picks(cfg, b, rng).reshape(b, cfg.total_active)
-        rho[0] = 0.0
-        abs2[0] = 0.0
-        for t0 in range(0, b, tile):
-            r = min(tile, b - t0)
-            rows, mags = rho[1 : r + 1], abs2[1 : r + 1]
-            rows[...] = 0.0
-            flat[row_start[:r] + pos[t0 : t0 + r]] = 1.0
-            np.fft.fft(rows, axis=1, out=rows)
-            re_im[1 : r + 1] *= scale
-            rho[0] = np.sum(rho[: r + 1], axis=0)
-            np.abs(rows, out=mags)
-            np.square(mags, out=mags)
-            abs2[0] = np.sum(abs2[: r + 1], axis=0)
-        acc_mean += rho[0]
-        acc_abs2 += abs2[0]
-        del pos  # before the next chunk is drawn
-        done += b
+    draws = _DrawAhead(cfg, trials, chunk, rng)
+    try:
+        draws.start()
+        for _ in range(0, trials, chunk):
+            # the next chunk is drawn while this one is transformed
+            pos = draws.picks().reshape(-1, cfg.total_active)
+            b = len(pos)
+            rho[0] = 0.0
+            abs2[0] = 0.0
+            for t0 in range(0, b, tile):
+                r = min(tile, b - t0)
+                rows, mags = rho[1 : r + 1], abs2[1 : r + 1]
+                rows[...] = 0.0
+                flat[row_start[:r] + pos[t0 : t0 + r]] = 1.0
+                np.fft.fft(rows, axis=1, out=rows)
+                re_im[1 : r + 1] *= scale
+                rho[0] = np.sum(rho[: r + 1], axis=0)
+                np.abs(rows, out=mags)
+                np.square(mags, out=mags)
+                abs2[0] = np.sum(abs2[: r + 1], axis=0)
+            acc_mean += rho[0]
+            acc_abs2 += abs2[0]
+            del pos  # at most two chunks are held: this one and the one drawn ahead
+    finally:
+        draws.close()
     return acc_abs2 / trials - np.abs(acc_mean / trials) ** 2
 
 

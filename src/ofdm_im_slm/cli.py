@@ -391,7 +391,10 @@ def cmd_analyze_pss(args) -> int:
 
 def cmd_verify_var_rho(args) -> int:
     cfg = _build_cfg(args)
-    _check_array_size(min(args.trials, VAR_RHO_CHUNK), cfg.n_fft)  # one chunk of patterns
+    # the run holds two chunks of min(trials, VAR_RHO_CHUNK) x K int32 picks (K <= N
+    # active subcarriers), the one transformed and the one drawn ahead: 8K bytes
+    # a pattern, which this check of N complex values a pattern still over-estimates
+    _check_array_size(min(args.trials, VAR_RHO_CHUNK), cfg.n_fft)
     if args.out is not None:
         _check_out_name(args.out)
         _check_writable(args.out)

@@ -2,7 +2,8 @@
 
 None of these is used by the library, the CLI or the benchmark: each is a
 plain, direct statement of a rule that the package implements in a faster
-or fused form (block placement, permutation, curve comparison).
+or fused form (block placement, permutation, curve comparison, the serial
+var_rho profile).
 """
 
 import math
@@ -10,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ofdm_im_slm import CcdfCurve, GroupSap, Sap, SystemConfig, papr_at_ccdf
+from ofdm_im_slm import CcdfCurve, GroupSap, Sap, SystemConfig, analysis, papr_at_ccdf
+from ofdm_im_slm.core import _shuffled_picks
 
 
 # ---------------------------------------------------------------------------
@@ -116,3 +118,40 @@ def _gap_interval(a: CcdfCurve, b: CcdfCurve, level: float):
     a_lo, a_hi = _shifted_targets(a, level)
     b_lo, b_hi = _shifted_targets(b, level)
     return a_lo - b_hi, a_hi - b_lo
+
+
+# ---------------------------------------------------------------------------
+# var_rho profile
+
+def var_rho_profile_serial(cfg: SystemConfig, trials: int, rng, chunk: int = analysis.VAR_RHO_CHUNK):
+    """``analysis.var_rho_empirical_profile`` with every chunk drawn in the
+    caller's thread, just before it is transformed: the same chunks, draw
+    calls, tiles and sums, one stage after the other."""
+    N = cfg.n_fft
+    tile = min(max(1, analysis._VAR_RHO_TILE // N), chunk, trials)
+    rho = np.empty((tile + 1, N), dtype=complex)
+    abs2 = np.empty((tile + 1, N))
+    flat, re_im = rho.reshape(-1), rho.view(float)
+    row_start = np.arange(N, (tile + 1) * N, N)[:, None]
+    scale = 1.0 / cfg.total_active
+    acc_abs2 = np.zeros(N)
+    acc_mean = np.zeros(N, dtype=complex)
+    for done in range(0, trials, chunk):
+        b = min(chunk, trials - done)
+        pos = _shuffled_picks(cfg, b, rng).reshape(b, cfg.total_active)
+        rho[0] = 0.0
+        abs2[0] = 0.0
+        for t0 in range(0, b, tile):
+            r = min(tile, b - t0)
+            rows, mags = rho[1 : r + 1], abs2[1 : r + 1]
+            rows[...] = 0.0
+            flat[row_start[:r] + pos[t0 : t0 + r]] = 1.0
+            np.fft.fft(rows, axis=1, out=rows)
+            re_im[1 : r + 1] *= scale
+            rho[0] = np.sum(rho[: r + 1], axis=0)
+            np.abs(rows, out=mags)
+            np.square(mags, out=mags)
+            abs2[0] = np.sum(abs2[: r + 1], axis=0)
+        acc_mean += rho[0]
+        acc_abs2 += abs2[0]
+    return acc_abs2 / trials - np.abs(acc_mean / trials) ** 2

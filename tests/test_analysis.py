@@ -1,7 +1,11 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import var_rho_profile_serial
 
 from ofdm_im_slm import (
     Constellation,
@@ -173,6 +177,117 @@ def test_var_rho_profile_equals_one_array_per_chunk(cfg, trials, chunk):
     profile = var_rho_empirical_profile(cfg, trials, a, chunk=chunk)
     assert np.array_equal(profile, var_rho_profile_oracle(cfg, trials, b, chunk))
     assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("trials,chunk", [
+    (700, 1000),  # fewer trials than one chunk
+    (1000, 1000),  # exactly one chunk
+    (3000, 1000),  # a whole number of chunks
+    (3001, 1000),  # one trial more: a last chunk of one
+    (7, 1),  # chunks of one pattern
+], ids=["below-chunk", "one-chunk", "whole-chunks", "one-more", "chunk-1"])
+@pytest.mark.parametrize("cfg", [
+    *(SystemConfig(n_fft=N, group_size=16, active=k, mod_order=4) for N in (64, 256) for k in (1, 2, 7)),
+    SystemConfig(n_fft=64, group_size=64, active=7, mod_order=4),  # one group: n = N
+], ids=lambda cfg: f"N{cfg.n_fft}-n{cfg.group_size}-k{cfg.active}")
+def test_var_rho_profile_equals_the_serial_loop(cfg, trials, chunk):
+    # the draw runs a chunk ahead on a helper thread; the bytes and the
+    # generator state are those of drawing each chunk just before its transform
+    threads = threading.active_count()
+    a, b = np.random.default_rng(trials), np.random.default_rng(trials)
+    profile = var_rho_empirical_profile(cfg, trials, a, chunk=chunk)
+    assert threading.active_count() == threads
+    assert profile.tobytes() == var_rho_profile_serial(cfg, trials, b, chunk).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_var_rho_profile_equals_the_serial_loop_under_fast_thread_switches():
+    # the interpreter hands the GIL between the draw and the transform every
+    # microsecond; a chunk read before its draw ended would change the bytes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trials, chunk in ((2000, 37), (50, 1)):
+            a, b = np.random.default_rng(chunk), np.random.default_rng(chunk)
+            profile = var_rho_empirical_profile(CFG, trials, a, chunk=chunk)
+            assert profile.tobytes() == var_rho_profile_serial(CFG, trials, b, chunk).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_var_rho_profile_draws_on_a_helper_thread_one_chunk_ahead(monkeypatch):
+    # chunks of 100 patterns are one tile each at N = 64, so the k-th fft
+    # transforms chunk k; by then at most chunk k + 1 has been drawn
+    draw, fft = analysis._shuffled_picks, np.fft.fft
+    drawn, ahead = [], []
+
+    def recorded_draw(*args):
+        drawn.append(threading.get_ident())
+        return draw(*args)
+
+    def recorded_fft(*args, **kwargs):
+        ahead.append(len(drawn) - len(ahead) - 1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_shuffled_picks", recorded_draw)
+    monkeypatch.setattr(np.fft, "fft", recorded_fft)
+    var_rho_empirical_profile(CFG, 1000, np.random.default_rng(0), chunk=100)
+    assert len(drawn) == len(ahead) == 10
+    assert threading.get_ident() not in drawn
+    assert all(0 <= n <= 1 for n in ahead)
+
+
+def test_var_rho_profile_checks_its_arguments_before_any_thread_starts(monkeypatch):
+    monkeypatch.setattr(analysis._DrawAhead, "start", lambda self: pytest.fail("a draw thread started"))
+    for trials, chunk in ((0, 10), (10, 0), (2.5, 10), (10, True)):
+        with pytest.raises(ValueError):
+            var_rho_empirical_profile(CFG, trials, np.random.default_rng(0), chunk=chunk)
+
+
+def test_var_rho_profile_passes_on_an_error_of_the_draw(monkeypatch):
+    draw, calls = analysis._shuffled_picks, []
+
+    def second_draw_fails(*args):
+        calls.append(args[1])
+        if len(calls) == 2:
+            raise ValueError("the second draw failed")
+        return draw(*args)
+
+    monkeypatch.setattr(analysis, "_shuffled_picks", second_draw_fails)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^the second draw failed$"):
+        var_rho_empirical_profile(CFG, 5000, np.random.default_rng(0), chunk=1000)
+    assert threading.active_count() == threads
+    assert calls == [1000, 1000]
+
+
+@pytest.mark.parametrize("error", [ValueError("the transform failed"), KeyboardInterrupt()])
+def test_var_rho_profile_joins_the_draw_when_the_transform_fails(monkeypatch, error):
+    # the transform of chunk 0 fails while chunk 1 is being drawn: the call
+    # raises the same exception once that draw has ended, and draws no more
+    draw, finished, drawing = analysis._shuffled_picks, [], threading.Event()
+
+    def slow_draw(*args):
+        if finished:
+            drawing.set()
+            time.sleep(0.2)
+        out = draw(*args)
+        finished.append(args[1])
+        return out
+
+    def failing_fft(*args, **kwargs):
+        assert drawing.wait(timeout=60)
+        raise error
+
+    monkeypatch.setattr(analysis, "_shuffled_picks", slow_draw)
+    monkeypatch.setattr(np.fft, "fft", failing_fft)
+    threads = threading.active_count()
+    with pytest.raises(type(error)) as raised:
+        var_rho_empirical_profile(CFG, 5000, np.random.default_rng(0), chunk=1000)
+    assert raised.value is error
+    assert threading.active_count() == threads
+    assert finished == [1000, 1000]
 
 
 def traced_peak(f, *args, **kwargs):

@@ -123,3 +123,21 @@ def test_each_run_records_the_host_probe_and_each_side_its_quartiles(tmp_path, m
     assert [p["change"]["host_probe_s"] for p in doc["pairs"]] == change
     assert doc["host_probe_s"] == {"parent": bench_pairs.summary(parent), "change": bench_pairs.summary(change)}
     assert doc["metrics"]["peak_rss_mb"]["change_wins"] == bench_pairs.PAIRS
+
+
+def test_each_pair_records_its_probe_ratio_and_the_report_each_side_s_median_probe(tmp_path, monkeypatch, capsys):
+    # the parent side probes 0.10 s and the change side 0.20 s: the two
+    # sides ran in different host phases, and the report says so
+    # pair i runs the parent first when i is even
+    probes = iter(v for i in range(bench_pairs.PAIRS) for v in ((0.10, 0.20) if i % 2 == 0 else (0.20, 0.10)))
+    monkeypatch.setattr(bench_pairs, "host_probe", lambda: next(probes))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, *a: run(42.0 if tree == "p" else 41.0))
+    args = argparse.Namespace(title="", parent="HEAD", claim=["ccdf_sparse:peak_rss_mb"], out=tmp_path / "b.json")
+    bench_pairs.run_sets(args, {"end_to_end": [RSS]}, [("ccdf_sparse", 1)], 0, {"parent": "p", "change": "c"},
+                         "0" * 40)
+    doc = json.loads(args.out.read_text())["workloads"]["ccdf_sparse@seed1"]
+    assert [p["host_probe_ratio"] for p in doc["pairs"]] == [pytest.approx(2.0)] * bench_pairs.PAIRS
+    out = capsys.readouterr().out
+    assert "ccdf_sparse@seed1 host_probe_s median: parent 0.1 s, change 0.2 s" in out
+    # the probes leave the verdict alone: ten wins by 1 MB meet the rule
+    assert doc["metrics"]["peak_rss_mb"]["gain_rule_met"] and "claim met" in out

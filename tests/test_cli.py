@@ -395,6 +395,40 @@ def test_ccdf_ctrl_c_ends_a_two_worker_run_with_one_line(tmp_path):
         os.killpg(proc.pid, 0)
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs /proc/<pid>/task")
+def test_verify_var_rho_ctrl_c_ends_the_run_and_its_draw_thread_with_one_line(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ccdf.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # with the math libraries on one thread, a second thread is the pattern draw
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    cmd = [sys.executable, "-m", "ofdm_im_slm.cli", "verify-var-rho", *BASE, "--trials", str(10**8), "--out", "v.csv"]
+    proc = subprocess.Popen(
+        cmd, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        threads = 0
+        while threads < 2 and proc.poll() is None and time.monotonic() < deadline:
+            with contextlib.suppress(OSError):
+                threads = len(os.listdir(f"/proc/{proc.pid}/task"))
+            time.sleep(0.01)
+        assert threads >= 2, "the draw thread never started"
+        time.sleep(0.3)  # a few chunks into the run
+        os.killpg(proc.pid, signal.SIGINT)
+        sent = time.monotonic()
+        _, err = proc.communicate(timeout=60)
+        ended = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    assert proc.returncode == 130
+    assert err.decode().splitlines() == ["interrupted"]
+    assert os.listdir(tmp_path) == []  # no output and no .tmp file
+    assert ended < 5  # at most one chunk's draw is waited for
+
+
 @pytest.mark.parametrize("argv", [["analyze-perm", "--u", "4", "--seed", "1"], ["verify-var-rho", "--trials", "200"]])
 def test_closed_stdout_ends_quietly_with_exit_141(tmp_path, argv):
     # the read end is closed before the run starts, so every write to stdout

@@ -35,9 +35,12 @@ is stopped keeps the pairs it finished (and reads no gain).
 Before every run a host-speed probe (``host_probe``) times PROBE_LOOPS
 complex ``np.fft.ifft`` calls over (4096, 4, 64) in a fresh interpreter
 with the thread pins of ``perfbench/run.py``. Each run's row keeps its
-probe seconds (``host_probe_s``), and each set keeps each side's median
-and quartiles, so that records made at different times can tell a slow
-host from a regression.
+probe seconds (``host_probe_s``), each pair the change's probe over the
+parent's (``host_probe_ratio``), and each set each side's median and
+quartiles, so that records made at different times can tell a slow host
+from a regression. The report of a set prints each side's median probe,
+so a record shows when the two sides ran in different host phases; the
+probes do not enter the gain rule.
 """
 
 from __future__ import annotations
@@ -230,7 +233,8 @@ def run_sets(args, bench: dict, sets: list, seconds: float, trees: dict, parent:
             f"{PAIRS} pairs run, wins in at least 9/10 of all of them, a better median, a median gap over the "
             "parent's interquartile distance, and no larger share of failed operations than the parent's. "
             f"host_probe_s: before every run, the seconds of {PROBE_LOOPS} complex np.fft.ifft calls over "
-            "(4096, 4, 64) in a fresh interpreter with the benchmark's thread pins, per side as quartiles."
+            "(4096, 4, 64) in a fresh interpreter with the benchmark's thread pins, per side as quartiles; "
+            "host_probe_ratio: per pair, the change's probe over the parent's. The probes do not enter the rule."
         ),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": metadata.version("numpy")},
@@ -250,6 +254,7 @@ def run_sets(args, bench: dict, sets: list, seconds: float, trees: dict, parent:
                 digest = pair[side].get("src_sha256")
                 if digest and digest not in doc["src_sha256"][side]:
                     doc["src_sha256"][side].append(digest)
+            pair["host_probe_ratio"] = pair["change"]["host_probe_s"] / pair["parent"]["host_probe_s"]
             pairs.append(pair)
             metrics = {m["name"]: compare(pairs, m) for m in bench["end_to_end"]}
             correct = {side: sum(p[side].get("correct") is True for p in pairs) for side in trees}
@@ -259,11 +264,13 @@ def run_sets(args, bench: dict, sets: list, seconds: float, trees: dict, parent:
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"{time.strftime('%H:%M:%S')} {key} pair {i + 1}/{PAIRS} "
                   f"correct={pair['parent'].get('correct')}/{pair['change'].get('correct')}", flush=True)
-        report(key, metrics, args.claim)
+        report(key, metrics, args.claim, probes)
 
 
-def report(key: str, metrics: dict, claims: list):
+def report(key: str, metrics: dict, claims: list, probes: dict):
     workload = key.split("@")[0]
+    print(f"  {key} host_probe_s median: parent {probes['parent']['median']:.4g} s, "
+          f"change {probes['change']['median']:.4g} s", flush=True)
     for name, m in metrics.items():
         if not m.get("pairs"):
             continue
