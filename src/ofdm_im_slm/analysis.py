@@ -11,7 +11,6 @@ E|z|^2 - |Ez|^2 throughout.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,60 +74,6 @@ VAR_RHO_CHUNK = 20000
 _VAR_RHO_TILE = 1 << 15
 
 
-class _DrawAhead:
-    """The chunks of patterns of one profile, drawn in order on one helper thread.
-
-    ``rng.permuted`` releases the GIL, so a draw runs beside the caller's
-    transforms, which hold it. The thread draws a chunk only once the
-    caller has taken the one before, so it is at most one chunk ahead.
-    ``picks`` returns the next chunk, or raises the exception its draw
-    raised; ``close`` stops the thread after its current draw and joins it.
-    One thread per call, not one per chunk: a thread that starts before the
-    last one has ended takes a malloc arena of its own, which RSS keeps.
-    """
-
-    def __init__(self, cfg: SystemConfig, trials: int, chunk: int, rng: np.random.Generator):
-        self._room, self._ready = threading.Semaphore(1), threading.Semaphore(0)
-        self._out, self._closed = None, False
-        # a daemon, so that a thread left by a Ctrl-C inside start() cannot
-        # hold up the interpreter's exit
-        self._thread = threading.Thread(
-            target=self._run, args=(cfg, trials, chunk, rng), name="var-rho-draw", daemon=True
-        )
-
-    def _run(self, cfg: SystemConfig, trials: int, chunk: int, rng: np.random.Generator):
-        for done in range(0, trials, chunk):
-            self._room.acquire()
-            if self._closed:
-                return
-            try:
-                out = _shuffled_picks(cfg, min(chunk, trials - done), rng)
-            except BaseException as e:  # raised again in the caller's thread
-                out = e
-            self._out = out
-            self._ready.release()
-            if isinstance(out, BaseException):
-                return
-
-    def start(self):
-        self._thread.start()
-
-    def picks(self) -> np.ndarray:
-        self._ready.acquire()
-        out, self._out = self._out, None
-        self._room.release()
-        if isinstance(out, BaseException):
-            raise out
-        return out
-
-    def close(self):
-        self._closed = True
-        self._room.release()
-        # a thread that never started, or has ended, is not alive
-        if self._thread.is_alive():
-            self._thread.join()
-
-
 def var_rho_empirical_profile(
     cfg: SystemConfig, trials: int, rng: np.random.Generator, chunk: int = VAR_RHO_CHUNK
 ) -> np.ndarray:
@@ -143,15 +88,19 @@ def var_rho_empirical_profile(
     sum over [carry, tile rows] adds row by row, in the order of one sum
     over the whole chunk.
 
-    The draw runs one chunk ahead on a helper thread: chunk c+1 is drawn
-    while the caller's thread transforms chunk c, and every chunk, the
-    first and the only one included, is drawn there. So ``rng`` is used
-    from that thread during the call, and the caller must not draw from it
-    until the call ends. The chunks, their draw calls and their order are
-    those of a serial loop, so the stream, the final generator state and
-    every output bit are the same. The helper is joined before the call
-    returns or raises, Ctrl-C included, and an exception of either stage
-    reaches the caller as it was raised.
+    The draws go through a one-worker ThreadPoolExecutor of the call: the
+    draw of chunk c+1 is submitted before chunk c is transformed, and every
+    chunk, the first and the only one included, is drawn on its thread.
+    ``rng.permuted`` releases the GIL, so a draw runs beside the transform,
+    which holds it. ``rng`` is thus used from that helper thread during the
+    call, and the caller must not draw from it until the call ends. The
+    chunks, their draw calls and their order are those of a serial loop, so
+    the stream, the final generator state and every output bit are the same.
+    The executor is shut down before the call returns or raises, Ctrl-C
+    included: a draw not yet started is cancelled, the helper is joined, and
+    an exception of either stage reaches the caller as it was raised. One
+    thread per call, not one per chunk: a thread that starts before the last
+    one has ended takes a malloc arena of its own, which RSS keeps.
 
     The 1/K scale multiplies the float view by fl(1/K), which is what
     numpy's division of a complex array by a real K computes, at a fraction
@@ -168,12 +117,16 @@ def var_rho_empirical_profile(
     scale = 1.0 / cfg.total_active
     acc_abs2 = np.zeros(N)
     acc_mean = np.zeros(N, dtype=complex)
-    draws = _DrawAhead(cfg, trials, chunk, rng)
+    # imported here, as run_ccdf imports multiprocessing, so that importing the package does not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    draw = ThreadPoolExecutor(max_workers=1, thread_name_prefix="var-rho-draw")
     try:
-        draws.start()
-        for _ in range(0, trials, chunk):
-            # the next chunk is drawn while this one is transformed
-            pos = draws.picks().reshape(-1, cfg.total_active)
+        ahead = draw.submit(_shuffled_picks, cfg, min(chunk, trials), rng)
+        for drawn in range(chunk, trials + chunk, chunk):
+            pos = ahead.result().reshape(-1, cfg.total_active)
+            if drawn < trials:  # the next chunk is drawn while this one is transformed
+                ahead = draw.submit(_shuffled_picks, cfg, min(chunk, trials - drawn), rng)
             b = len(pos)
             rho[0] = 0.0
             abs2[0] = 0.0
@@ -192,7 +145,7 @@ def var_rho_empirical_profile(
             acc_abs2 += abs2[0]
             del pos  # at most two chunks are held: this one and the one drawn ahead
     finally:
-        draws.close()
+        draw.shutdown(wait=True, cancel_futures=True)
     return acc_abs2 / trials - np.abs(acc_mean / trials) ** 2
 
 
@@ -218,8 +171,8 @@ def punctured_spectrum(p1: np.ndarray, p2: np.ndarray, sap=None) -> PssSpectrum:
     """Spectrum of p1 (x) p2* restricted to ``sap`` (None = all indices)."""
     p1 = np.asarray(p1, dtype=complex)
     p2 = np.asarray(p2, dtype=complex)
-    if p1.shape != p2.shape:
-        raise ValueError("phase sequences must have equal length")
+    if p1.ndim != 1 or p1.shape != p2.shape:
+        raise ValueError(f"phase sequences of shapes {p1.shape} and {p2.shape} must be two rows of equal length")
     q = p1 * np.conj(p2)
     full = np.abs(np.fft.ifft(q))
     c = float(np.max(full))

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Constellation, SystemConfig, _as_int, draw_active_positions
+from .core import Constellation, SystemConfig, _as_int, _shown, draw_active_positions
 from .slm import (
     PermutationSet,
     PhaseSequenceSet,
@@ -179,16 +179,23 @@ class CcdfCurve:
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma_db, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "gamma_db", gamma)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "trials", _as_int("trials", self.trials, 1))
-        if gamma.shape != counts.shape:
+        given = np.asarray(self.counts)
+        kind = given.dtype.kind
+        # a cast to int64 would truncate 2.7 to 2 without a word
+        if kind not in "iu" and not (kind == "f" and np.all(np.isfinite(given) & (np.trunc(given) == given))):
+            raise ValueError(f"counts must be whole numbers, got {_shown(self.counts)}")
+        trials = _as_int("trials", self.trials, 1)
+        if gamma.shape != given.shape:
             raise ValueError("gamma grid and counts differ in length")
-        if np.any(counts < 0) or np.any(counts > self.trials):
+        # checked before the cast, which would wrap a count beyond int64
+        if np.any(given < 0) or np.any(given > trials):
             raise ValueError("counts out of range")
+        counts = given.astype(np.int64)
         if np.any(np.diff(counts) > 0):
             raise ValueError("exceedance counts must be nonincreasing in gamma")
+        object.__setattr__(self, "gamma_db", gamma)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "trials", trials)
 
     @property
     def probabilities(self) -> np.ndarray:

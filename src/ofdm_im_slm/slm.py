@@ -417,10 +417,11 @@ def slm_select(
         raise ValueError(f"pss has {pss.u} sequences but perms has {perms.u}")
     block = np.asarray(block, dtype=complex)
     n = perms.perms.shape[1]
-    # the candidate gather clips its indices, so a shorter block is refused here
-    if block.shape != (n,) or pss.n_fft != n:
+    # the candidate gather clips its indices, so a shorter block is refused here;
+    # the mean power that the PAPRs are scaled by is the one of cfg
+    if block.shape != (n,) or pss.n_fft != n or cfg.n_fft != n:
         raise ValueError(
-            f"block of shape {block.shape} and phase sequences of length {pss.n_fft} "
+            f"block of shape {block.shape}, phase sequences of length {pss.n_fft} and n_fft={cfg.n_fft} "
             f"must be one row of the permutation length {n}"
         )
     signals = _candidate_signals(block, pss.sequences, perms.inverse)

@@ -239,7 +239,7 @@ def test_var_rho_profile_draws_on_a_helper_thread_one_chunk_ahead(monkeypatch):
 
 
 def test_var_rho_profile_checks_its_arguments_before_any_thread_starts(monkeypatch):
-    monkeypatch.setattr(analysis._DrawAhead, "start", lambda self: pytest.fail("a draw thread started"))
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a draw thread started"))
     for trials, chunk in ((0, 10), (10, 0), (2.5, 10), (10, True)):
         with pytest.raises(ValueError):
             var_rho_empirical_profile(CFG, trials, np.random.default_rng(0), chunk=chunk)
@@ -388,8 +388,14 @@ def test_hadamard_full_spectrum_zero_at_lag_zero():
 
 
 def test_punctured_spectrum_length_mismatch():
-    with pytest.raises(ValueError):
-        punctured_spectrum(np.ones(8), np.ones(16))
+    for p1, p2, sap in (
+        (np.ones(8), np.ones(16), None),
+        (1.0, 1.0, None),  # no rows: indexing them raised IndexError
+        (np.ones((2, 64)), np.ones((2, 64)), [0, 1]),  # two rows each: a spectrum per row
+        (np.ones((1, 64)), np.ones(64), None),
+    ):
+        with pytest.raises(ValueError, match="must be two rows of equal length"):
+            punctured_spectrum(p1, p2, sap)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,14 @@ def test_scheme_validation():
     (lambda: SchemeDescriptor(mode="bogus"), "unknown mode 'bogus'"),
     (lambda: SchemeDescriptor(mode="slm", u=2, perm_kind="pinned"), "pinned perm_kind requires pinned_perms"),
     (lambda: CcdfCurve(gamma_db=np.array([4.0, 5.0]), counts=np.array([3]), trials=10), "differ in length"),
-], ids=["unknown-mode", "pinned-perms-missing", "curve-lengths-differ"])
+    # a cast to int64 made these [2, 1]
+    (lambda: CcdfCurve(gamma_db=[1.0, 2.0], counts=[2.7, 1.2], trials=10), r"whole numbers, got \[2\.7, 1\.2\]"),
+    (lambda: CcdfCurve(gamma_db=[1.0, 2.0], counts=[np.nan, 1], trials=10), "whole numbers"),
+    (lambda: CcdfCurve(gamma_db=[1.0, 2.0], counts=[np.inf, 1], trials=10), "whole numbers"),
+], ids=[
+    "unknown-mode", "pinned-perms-missing", "curve-lengths-differ",
+    "curve-fractional-counts", "curve-nan-count", "curve-inf-count",
+])
 def test_scheme_and_curve_refuse_malformed_fields(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -116,6 +123,8 @@ def test_curve_validation():
         CcdfCurve(gamma_db=np.array([4.0, 5.0]), counts=np.array([5, 9]), trials=10)
     curve = CcdfCurve(gamma_db=np.array([4.0, 5.0]), counts=np.array([9, 5]), trials=10)
     assert np.allclose(curve.probabilities, [0.9, 0.5])
+    # counts equal to whole numbers pass, whatever their type
+    assert CcdfCurve(gamma_db=[4.0, 5.0], counts=[9.0, 5.0], trials=10).counts.tolist() == [9, 5]
 
 
 # ---------------------------------------------------------------------------

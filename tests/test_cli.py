@@ -292,6 +292,27 @@ def test_one_worker_run_never_loads_multiprocessing(tmp_path):
         assert (tmp_path / f"w1{suffix}").read_bytes() == (tmp_path / f"w2{suffix}").read_bytes()
 
 
+def test_only_verify_var_rho_loads_concurrent_futures(tmp_path):
+    # the profile imports its draw-ahead executor when it runs, so importing
+    # the package and a one-worker ccdf run leave concurrent.futures unloaded
+    code = (
+        "import sys\n"
+        "import ofdm_im_slm, ofdm_im_slm.cli\n"
+        "loaded = ['concurrent.futures' in sys.modules]\n"
+        "for argv in (['ccdf', '--workers', '1', '--out', 'c'], ['verify-var-rho', '--out', 'v.csv']):\n"
+        "    assert ofdm_im_slm.cli.main([*argv, *sys.argv[1:], '--trials', '100']) == 0\n"
+        "    loaded.append('concurrent.futures' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ccdf.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *BASE], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[False, False, True]"
+
+
 @pytest.mark.parametrize("spec", ["0:1e12:1", f"0:{cli.MAX_GAMMA_POINTS}:1"])
 def test_ccdf_gamma_grid_beyond_the_cap_exit_2(tmp_path, capsys, spec):
     # 10^12 points would need 7.28 TiB; the point count is checked before

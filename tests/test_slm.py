@@ -603,6 +603,9 @@ def test_slm_size_mismatch():
     short = PhaseSequenceSet(np.ones((1, CFG.n_fft // 2), dtype=complex))
     with pytest.raises(ValueError, match="permutation length"):
         slm_select(block, short, perms, CFG)
+    # the PAPRs are scaled by the mean power of cfg, so its n_fft must be the block's
+    with pytest.raises(ValueError, match="n_fft=128 must be one row of the permutation length 64"):
+        slm_select(block, pss, perms, SystemConfig(n_fft=128, group_size=16, active=8, mod_order=4))
 
 
 def gen_perm_set_oracle(cfg, u, rng):
