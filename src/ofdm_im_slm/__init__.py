@@ -4,14 +4,11 @@ Monte-Carlo CCDF analysis."""
 __version__ = "0.1.0"
 
 from .analysis import (
-    CovarianceCheck,
     MuReport,
     PssSpectrum,
-    cov_alt_signals,
     mu_metric,
     mu_metric_set,
     punctured_spectrum,
-    rho_profile,
     spectrum_bound,
     var_rho_closed_form,
     var_rho_empirical,
@@ -32,11 +29,8 @@ from .core import (
     Sap,
     SystemConfig,
     block_from_bits,
-    dft,
     draw_active_positions,
     idft,
-    oversampled_idft,
-    papr_db,
     sample_random_sap,
     subset_rank,
     subset_unrank,

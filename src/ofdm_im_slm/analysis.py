@@ -16,27 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Sap, SystemConfig, _as_indices, _as_int, _shuffled_picks, draw_active_positions
-from .slm import PermutationSet, PhaseSequenceSet, _permutation_rows
+from .slm import PermutationSet, _permutation_rows
 
 
 def _active_indices(sap, n: int) -> np.ndarray:
     """Sorted indices of a Sap or of a collection of distinct active indices in 0..n-1."""
     return np.asarray(sorted(_as_indices("sap", sap.active if isinstance(sap, Sap) else sap, n)), dtype=np.intp)
-
-
-def rho_profile(sap, cfg: SystemConfig) -> np.ndarray:
-    """Correlation coefficients rho(m), m = 0..N-1, for one activation pattern.
-
-    ``sap`` may be a Sap or any non-empty collection of distinct active
-    indices in 0..N-1; rho(0) is 1 by construction.
-    """
-    active = _active_indices(sap, cfg.n_fft)
-    if active.size == 0:
-        raise ValueError("rho needs at least one active index")
-    alpha = np.zeros(cfg.n_fft)
-    alpha[active] = 1.0
-    # numpy fft applies exp(-j*2*pi*i*m/N), exactly the sign wanted here
-    return np.fft.fft(alpha) / active.size
 
 
 def var_rho_closed_form(cfg: SystemConfig, m: int) -> float:
@@ -228,67 +213,3 @@ def mu_metric_set(perms: PermutationSet, cfg: SystemConfig) -> float:
         for v in range(u + 1, perms.u)
     ]
     return float(np.mean(values))
-
-
-# ---------------------------------------------------------------------------
-# covariance between two alternative signals
-
-@dataclass(frozen=True)
-class CovarianceCheck:
-    """Empirical vs analytic covariance of x_1(l) and x_2(m) for a fixed pattern."""
-
-    empirical: complex
-    analytic: complex
-    stderr: float
-
-
-def cov_alt_signals(
-    sap: Sap,
-    constellation,
-    pss: PhaseSequenceSet,
-    perms: PermutationSet,
-    l: int,
-    m: int,
-    cfg: SystemConfig,
-    trials: int,
-    rng: np.random.Generator,
-) -> CovarianceCheck:
-    """Covariance between branch-1 sample l and branch-2 sample m.
-
-    Random unit-power symbols are drawn on the fixed activation pattern;
-    the analytic value is (1/N) sum_{i in I} P1(d1(i)) P2*(d2(i))
-    exp(j*2*pi*(d1(i)l - d2(i)m)/N). Both samples have period N, so l and
-    m are taken mod N; any integer sample index is valid.
-    """
-    if pss.u < 2 or perms.u < 2:
-        raise ValueError("need two candidates (u = 1, 2)")
-    N = cfg.n_fft
-    if pss.n_fft != N or perms.perms.shape[1] != N:
-        raise ValueError(
-            f"pss rows of length {pss.n_fft} and perms rows of length {perms.perms.shape[1]} must be n_fft={N} long"
-        )
-    l, m, trials = _as_int("l", l) % N, _as_int("m", m) % N, _as_int("trials", trials, 1)
-    active = _active_indices(sap, N)
-    p1, p2 = pss.sequences[0], pss.sequences[1]
-    d1, d2 = np.asarray(perms.perms[0]), np.asarray(perms.perms[1])
-
-    analytic = complex(
-        np.sum(
-            p1[d1[active]]
-            * np.conj(p2[d2[active]])
-            * np.exp(2j * np.pi * (d1[active] * l - d2[active] * m) / N)
-        )
-        / N
-    )
-
-    # x_u at one sample only: x_u(t) = sum_{i in I} P_u(d_u(i)) X(i) e^{j2pi d_u(i) t/N}/sqrt(N)
-    coeff1 = p1[d1[active]] * np.exp(2j * np.pi * d1[active] * l / N) / np.sqrt(N)
-    coeff2 = p2[d2[active]] * np.exp(2j * np.pi * d2[active] * m / N) / np.sqrt(N)
-    idx = rng.integers(0, constellation.order, size=(trials, active.size))
-    symbols = constellation.symbols[idx]
-    x1 = symbols @ coeff1
-    x2 = symbols @ coeff2
-    products = x1 * np.conj(x2)
-    empirical = complex(np.mean(products) - np.mean(x1) * np.conj(np.mean(x2)))
-    stderr = float(np.sqrt(np.mean(np.abs(products - np.mean(products)) ** 2) / trials))
-    return CovarianceCheck(empirical=empirical, analytic=analytic, stderr=stderr)

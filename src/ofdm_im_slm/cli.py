@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 a command line that argparse refuses (one line,
 not the usage), invalid configuration or malformed input (an
 --out that names no file among them), a run
 whose largest array would hold more than ccdf.MAX_PLAN_ELEMENTS values, or
-an analyze-perm run over MAX_MU_GRID_VALUES grid values; 3 unwritable
+an analyze-perm run over MAX_MU_GRID_VALUES grid values, or a run that
+the caps admit but that runs out of memory (a MemoryError, reported as one
+"error: out of memory" line, with no output left behind); 3 unwritable
 output path; 130 interrupted (Ctrl-C), with no output left behind; 141
 (128 + SIGPIPE) stdout closed by its reader, as in a pipe into head, with
 no line on stderr and no partial output file. All randomized outputs are
@@ -529,6 +531,12 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except MemoryError as e:
+        # the caps bound single arrays, not all that a run holds at once; an
+        # output being written has been removed by _write_lines
+        detail = " ".join(str(e).split())
+        print(f"error: out of memory{': ' if detail else ''}{detail}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # the worker pool has ended on the way out of run_ccdf, and a partly
         # written output has been removed by _write_lines

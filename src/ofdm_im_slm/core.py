@@ -1,4 +1,4 @@
-"""OFDM-IM block construction, unitary transform, and PAPR.
+"""OFDM-IM block construction and the unitary transform.
 
 Conventions:
 - A frequency block and a time signal are plain complex ndarrays of length
@@ -395,41 +395,10 @@ def block_from_bits(bits, cfg: SystemConfig, cs: Constellation):
 
 
 # ---------------------------------------------------------------------------
-# transform and PAPR
+# transform
 
 def idft(block: np.ndarray) -> np.ndarray:
     """Unitary inverse DFT; numpy's ifft carries 1/N, so rescale by sqrt(N)."""
     block = np.asarray(block)
     n = block.shape[-1]
     return np.fft.ifft(block, axis=-1) * math.sqrt(n)
-
-
-def dft(signal: np.ndarray) -> np.ndarray:
-    """Unitary forward DFT (inverse of idft)."""
-    signal = np.asarray(signal)
-    n = signal.shape[-1]
-    return np.fft.fft(signal, axis=-1) / math.sqrt(n)
-
-
-def papr_db(signal: np.ndarray, cfg: SystemConfig) -> float:
-    """PAPR in dB: peak power over the ensemble mean power active/group_size."""
-    peak = float(np.max(np.abs(signal) ** 2))
-    return 10.0 * math.log10(peak / cfg.mean_power)
-
-
-def oversampled_idft(block: np.ndarray, factor: int) -> np.ndarray:
-    """Unitary IDFT on a zero-padded spectrum (factor >= 1, integer).
-
-    Indices at or above n_fft/2 are treated as negative frequencies, so the
-    result interpolates the Nyquist-rate signal. factor == 1 returns idft().
-    """
-    factor = _as_int("oversampling factor", factor, 1)
-    block = np.asarray(block)
-    if factor == 1:
-        return idft(block)
-    n = block.shape[-1]
-    half = n // 2
-    padded = np.zeros(block.shape[:-1] + (n * factor,), dtype=complex)
-    padded[..., :half] = block[..., :half]
-    padded[..., n * factor - (n - half) :] = block[..., half:]
-    return np.fft.ifft(padded, axis=-1) * factor * math.sqrt(n)

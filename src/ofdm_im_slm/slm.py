@@ -262,7 +262,7 @@ _TILE_OUTPUTS = 1 << 15
 
 
 def _candidate_signals(blocks, pss_seq, perm_inv, gathered=None, padded=None, out=None):
-    """Unnormalised IDFT of every SLM candidate: (..., N) blocks -> (..., U, width).
+    """Unnormalised IDFT of every SLM candidate: a (..., N) ndarray of blocks -> (..., U, width).
 
     Candidate u gathers the block by perm_inv[u], into ``gathered`` if it is
     given, and multiplies by phase row u. The gather clips perm_inv instead
@@ -275,7 +275,7 @@ def _candidate_signals(blocks, pss_seq, perm_inv, gathered=None, padded=None, ou
     factor, into ``out``, or else in place over the spectrum it transforms
     (``padded``, if given).
     """
-    spectrum = np.take(blocks, perm_inv, axis=-1, out=gathered, mode="clip")
+    spectrum = blocks.take(perm_inv, axis=-1, out=gathered, mode="clip")
     spectrum *= pss_seq
     if padded is not None:
         n, width = spectrum.shape[-1], padded.shape[-1]
@@ -318,9 +318,10 @@ def candidate_paprs_db(
     gathers the block by the inverse of permutation u (entry i lands at
     d_u[i]), multiplies by phase row u and applies the IDFT, zero-padded by
     ``oversample`` with indices at or above N/2 as negative frequencies (the
-    layout of ``core.oversampled_idft``). ``positions``, ``symbol_index`` and
-    ``perm_inv`` are integer arrays (int32 positions, as drawn, index as
-    well as intp ones), and ``pss_seq`` is U rows of length N.
+    layout of the reference ``oversampled_idft`` in ``tests/oracles.py``).
+    ``positions``, ``symbol_index`` and ``perm_inv`` are integer arrays
+    (int32 positions, as drawn, index as well as intp ones), and
+    ``pss_seq`` is U rows of length N.
 
     The blocks are assembled one tile at a time: the tile's rows of a
     (tile, N) buffer are zeroed, its symbols looked up from its indices and
@@ -337,7 +338,7 @@ def candidate_paprs_db(
     written once and no tile allocates an array of its own size. When N is
     a power of 4 and ``oversample`` a power of 2 every scale factor is a
     power of two, and the result is bit-identical to taking the peaks of
-    ``core.oversampled_idft``.
+    the reference ``oversampled_idft``.
     """
     n, oversample = _as_int("n_fft", n_fft), _as_int("oversampling factor", oversample, 1)
     positions, symbol_index = _indices("positions", positions), _indices("symbol_index", symbol_index)

@@ -3,7 +3,11 @@
 None of these is used by the library, the CLI or the benchmark: each is a
 plain, direct statement of a rule that the package implements in a faster
 or fused form (block placement, permutation, curve comparison, the serial
-var_rho profile).
+var_rho profile), or of a quantity that the paper defines and the package
+only uses inside a fused kernel: the unitary DFT and the PAPR of one
+signal, ``oversampled_idft`` (the zero-padding layout of
+``slm.candidate_paprs_db`` at oversample > 1), the correlation profile
+``rho_profile`` and the Monte-Carlo branch covariance ``cov_alt_signals``.
 """
 
 import math
@@ -11,8 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ofdm_im_slm import CcdfCurve, GroupSap, Sap, SystemConfig, analysis, papr_at_ccdf
-from ofdm_im_slm.core import _shuffled_picks
+from ofdm_im_slm import (
+    CcdfCurve,
+    GroupSap,
+    PermutationSet,
+    PhaseSequenceSet,
+    Sap,
+    SystemConfig,
+    analysis,
+    idft,
+    papr_at_ccdf,
+)
+from ofdm_im_slm.analysis import _active_indices
+from ofdm_im_slm.core import _as_int, _shuffled_picks
 
 
 # ---------------------------------------------------------------------------
@@ -155,3 +170,119 @@ def var_rho_profile_serial(cfg: SystemConfig, trials: int, rng, chunk: int = ana
         acc_mean += rho[0]
         acc_abs2 += abs2[0]
     return acc_abs2 / trials - np.abs(acc_mean / trials) ** 2
+
+
+# ---------------------------------------------------------------------------
+# transform and PAPR of one signal
+
+def dft(signal: np.ndarray) -> np.ndarray:
+    """Unitary forward DFT (inverse of idft)."""
+    signal = np.asarray(signal)
+    n = signal.shape[-1]
+    return np.fft.fft(signal, axis=-1) / math.sqrt(n)
+
+
+def papr_db(signal: np.ndarray, cfg: SystemConfig) -> float:
+    """PAPR in dB: peak power over the ensemble mean power active/group_size."""
+    peak = float(np.max(np.abs(signal) ** 2))
+    return 10.0 * math.log10(peak / cfg.mean_power)
+
+
+def oversampled_idft(block: np.ndarray, factor: int) -> np.ndarray:
+    """Unitary IDFT on a zero-padded spectrum (factor >= 1, integer).
+
+    Indices at or above n_fft/2 are treated as negative frequencies, so the
+    result interpolates the Nyquist-rate signal. factor == 1 returns idft().
+    """
+    factor = _as_int("oversampling factor", factor, 1)
+    block = np.asarray(block)
+    if factor == 1:
+        return idft(block)
+    n = block.shape[-1]
+    half = n // 2
+    padded = np.zeros(block.shape[:-1] + (n * factor,), dtype=complex)
+    padded[..., :half] = block[..., :half]
+    padded[..., n * factor - (n - half) :] = block[..., half:]
+    return np.fft.ifft(padded, axis=-1) * factor * math.sqrt(n)
+
+
+# ---------------------------------------------------------------------------
+# correlation profile of one activation pattern
+
+def rho_profile(sap, cfg: SystemConfig) -> np.ndarray:
+    """Correlation coefficients rho(m), m = 0..N-1, for one activation pattern.
+
+    ``sap`` may be a Sap or any non-empty collection of distinct active
+    indices in 0..N-1; rho(0) is 1 by construction.
+    """
+    active = _active_indices(sap, cfg.n_fft)
+    if active.size == 0:
+        raise ValueError("rho needs at least one active index")
+    alpha = np.zeros(cfg.n_fft)
+    alpha[active] = 1.0
+    # numpy fft applies exp(-j*2*pi*i*m/N), exactly the sign wanted here
+    return np.fft.fft(alpha) / active.size
+
+
+# ---------------------------------------------------------------------------
+# covariance between two alternative signals
+
+@dataclass(frozen=True)
+class CovarianceCheck:
+    """Empirical vs analytic covariance of x_1(l) and x_2(m) for a fixed pattern."""
+
+    empirical: complex
+    analytic: complex
+    stderr: float
+
+
+def cov_alt_signals(
+    sap: Sap,
+    constellation,
+    pss: PhaseSequenceSet,
+    perms: PermutationSet,
+    l: int,
+    m: int,
+    cfg: SystemConfig,
+    trials: int,
+    rng: np.random.Generator,
+) -> CovarianceCheck:
+    """Covariance between branch-1 sample l and branch-2 sample m.
+
+    Random unit-power symbols are drawn on the fixed activation pattern;
+    the analytic value is (1/N) sum_{i in I} P1(d1(i)) P2*(d2(i))
+    exp(j*2*pi*(d1(i)l - d2(i)m)/N). Both samples have period N, so l and
+    m are taken mod N; any integer sample index is valid.
+    """
+    if pss.u < 2 or perms.u < 2:
+        raise ValueError("need two candidates (u = 1, 2)")
+    N = cfg.n_fft
+    if pss.n_fft != N or perms.perms.shape[1] != N:
+        raise ValueError(
+            f"pss rows of length {pss.n_fft} and perms rows of length {perms.perms.shape[1]} must be n_fft={N} long"
+        )
+    l, m, trials = _as_int("l", l) % N, _as_int("m", m) % N, _as_int("trials", trials, 1)
+    active = _active_indices(sap, N)
+    p1, p2 = pss.sequences[0], pss.sequences[1]
+    d1, d2 = np.asarray(perms.perms[0]), np.asarray(perms.perms[1])
+
+    analytic = complex(
+        np.sum(
+            p1[d1[active]]
+            * np.conj(p2[d2[active]])
+            * np.exp(2j * np.pi * (d1[active] * l - d2[active] * m) / N)
+        )
+        / N
+    )
+
+    # x_u at one sample only: x_u(t) = sum_{i in I} P_u(d_u(i)) X(i) e^{j2pi d_u(i) t/N}/sqrt(N)
+    coeff1 = p1[d1[active]] * np.exp(2j * np.pi * d1[active] * l / N) / np.sqrt(N)
+    coeff2 = p2[d2[active]] * np.exp(2j * np.pi * d2[active] * m / N) / np.sqrt(N)
+    idx = rng.integers(0, constellation.order, size=(trials, active.size))
+    symbols = constellation.symbols[idx]
+    x1 = symbols @ coeff1
+    x2 = symbols @ coeff2
+    products = x1 * np.conj(x2)
+    empirical = complex(np.mean(products) - np.mean(x1) * np.conj(np.mean(x2)))
+    stderr = float(np.sqrt(np.mean(np.abs(products - np.mean(products)) ** 2) / trials))
+    return CovarianceCheck(empirical=empirical, analytic=analytic, stderr=stderr)

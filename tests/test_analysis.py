@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import var_rho_profile_serial
+from oracles import cov_alt_signals, rho_profile, var_rho_profile_serial
 
 from ofdm_im_slm import (
     Constellation,
@@ -14,7 +14,6 @@ from ofdm_im_slm import (
     SystemConfig,
     all_ones_pss,
     analysis,
-    cov_alt_signals,
     draw_active_positions,
     gen_hadamard_pss,
     gen_perm_set,
@@ -22,7 +21,6 @@ from ofdm_im_slm import (
     mu_metric,
     mu_metric_set,
     punctured_spectrum,
-    rho_profile,
     sample_random_sap,
     spectrum_bound,
     var_rho_closed_form,

@@ -151,14 +151,17 @@ def test_ccdf_unwritable_path_exit_3(tmp_path):
     assert rc == 3
 
 
-def test_ccdf_failed_run_leaves_no_output(tmp_path, monkeypatch):
-    def fail(plan, workers=1):
-        raise MemoryError("run failed")
+def test_ccdf_failed_run_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # a MemoryError ends in one line and exit 2; Python's own has no message
+    for error, line in [(MemoryError("run failed"), "error: out of memory: run failed\n"),
+                        (MemoryError(), "error: out of memory\n")]:
+        def fail(plan, workers=1):
+            raise error
 
-    monkeypatch.setattr(cli, "run_ccdf", fail)
-    with pytest.raises(MemoryError):
-        run_cli(["ccdf", *BASE, "--trials", "10", "--out", str(tmp_path / "run")])
-    assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(cli, "run_ccdf", fail)
+        assert run_cli(["ccdf", *BASE, "--trials", "10", "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == line
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_ccdf_rewrite_replaces_output_and_keeps_its_mode(tmp_path):
@@ -450,6 +453,31 @@ def test_verify_var_rho_ctrl_c_ends_the_run_and_its_draw_thread_with_one_line(tm
     assert ended < 5  # at most one chunk's draw is waited for
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
+def test_run_that_the_caps_admit_but_memory_does_not_ends_with_one_line(tmp_path):
+    # u * N is exactly MAX_PLAN_ELEMENTS, so every check passes, but the run
+    # holds several 256-512 MiB arrays at once: under 1 GiB of address space
+    # this ended in an _ArrayMemoryError traceback and exit 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ccdf.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # the math libraries on one thread: their buffers, which grow with the
+    # core count, then leave the same room under the limit on any host
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+    argv = ["ccdf", "--n-fft", "8192", "--group-size", "16", "--active", "14", "--u", "4096", "--trials", "10"]
+    assert 4096 * 8192 == ccdf.MAX_PLAN_ELEMENTS
+    proc = subprocess.run(
+        [sys.executable, "-m", "ofdm_im_slm.cli", *argv, "--out", "run"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+        # limits the child only, before it starts the interpreter
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == []  # no output and no .tmp file
+
+
 @pytest.mark.parametrize("argv", [["analyze-perm", "--u", "4", "--seed", "1"], ["verify-var-rho", "--trials", "200"]])
 def test_closed_stdout_ends_quietly_with_exit_141(tmp_path, argv):
     # the read end is closed before the run starts, so every write to stdout
@@ -541,7 +569,8 @@ def test_ccdf_any_small_invocation_ends_cleanly(case, writable):
             if not CAN_CAP:
                 return
             rc, err = run_cli_capped(argv)
-            assert rc == 2, err
+            # refused from its arguments, not ended by the memory it took
+            assert rc == 2 and "out of memory" not in err, err
         else:
             buf = io.StringIO()
             with contextlib.redirect_stderr(buf), contextlib.redirect_stdout(io.StringIO()):

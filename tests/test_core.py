@@ -15,16 +15,13 @@ from ofdm_im_slm import (
     Sap,
     SystemConfig,
     block_from_bits,
-    dft,
     draw_active_positions,
     idft,
-    oversampled_idft,
-    papr_db,
     sample_random_sap,
     subset_rank,
     subset_unrank,
 )
-from oracles import assemble_block
+from oracles import assemble_block, dft, oversampled_idft, papr_db
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
 CFG8 = SystemConfig(n_fft=8, group_size=4, active=2, mod_order=4)

@@ -20,7 +20,6 @@ from ofdm_im_slm import (
     SystemConfig,
     TrialPlan,
     candidate_paprs_db,
-    cov_alt_signals,
     cyclic_hadamard_matrix,
     default_gamma_grid,
     draw_active_positions,
@@ -29,7 +28,6 @@ from ofdm_im_slm import (
     gen_random_pss,
     mu_metric,
     mu_metric_set,
-    oversampled_idft,
     run_ccdf,
     sample_random_sap,
     subset_rank,
@@ -41,6 +39,7 @@ from ofdm_im_slm import (
 from ofdm_im_slm.ccdf import BATCH_TRIALS, curve_csv_text, plan_json_doc
 from ofdm_im_slm.cli import main
 from ofdm_im_slm.core import _as_int
+from oracles import cov_alt_signals, oversampled_idft
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
 CFG128 = SystemConfig(n_fft=128, group_size=16, active=2, mod_order=4)

@@ -1,9 +1,10 @@
 """Collections of indices of the public API: one check, ``core._as_indices``.
 
 ``GroupSap`` rows, ``subset_rank`` rows and the index sets of
-``rho_profile``, ``punctured_spectrum`` and ``cov_alt_signals`` go through
-it; ``mu_metric`` takes only permutations, through ``PermutationSet``'s row
-check. Every other collection ends in one ValueError that names it.
+``punctured_spectrum`` and of the oracles ``rho_profile`` and
+``cov_alt_signals`` go through it; ``mu_metric`` takes only permutations,
+through ``PermutationSet``'s row check. Every other collection ends in one
+ValueError that names it.
 """
 
 import numpy as np
@@ -15,16 +16,15 @@ from ofdm_im_slm import (
     Constellation,
     GroupSap,
     SystemConfig,
-    cov_alt_signals,
     gen_perm_set,
     gen_random_pss,
     mu_metric,
     punctured_spectrum,
-    rho_profile,
     subset_rank,
     subset_unrank,
 )
 from ofdm_im_slm.core import _as_indices
+from oracles import cov_alt_signals, rho_profile
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
 IDENTITY = np.arange(64)

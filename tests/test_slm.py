@@ -19,8 +19,6 @@ from ofdm_im_slm import (
     gen_perm_set,
     gen_random_pss,
     idft,
-    oversampled_idft,
-    papr_db,
     perm_set_from_json,
     perm_set_to_json,
     pss_from_json,
@@ -29,7 +27,7 @@ from ofdm_im_slm import (
     slm_select,
 )
 from ofdm_im_slm.slm import PRIMITIVE_POLYS
-from oracles import apply_permutation, assemble_block, permute_sap
+from oracles import apply_permutation, assemble_block, oversampled_idft, papr_db, permute_sap
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
 CFG8 = SystemConfig(n_fft=8, group_size=4, active=2, mod_order=4)
