@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sap, SystemConfig, _as_indices, _as_int, _shuffled_picks, draw_active_positions
+from .core import Sap, SystemConfig, _as_indices, _as_int, _shuffled_picks
 from .slm import PermutationSet, _permutation_rows
 
 
@@ -39,16 +39,13 @@ def var_rho_closed_form(cfg: SystemConfig, m: int) -> float:
 def var_rho_empirical(cfg: SystemConfig, m: int, trials: int, rng: np.random.Generator) -> float:
     """Sample variance E|rho|^2 - |E rho|^2 of rho(m) over uniform pattern draws.
 
-    rho(m) has period N in m, so the lag is taken mod N before its phases
-    are built; any integer lag is valid. The draw is sorted: the row sums
-    add in column order, so the order of the picks reaches the result's
-    last bits.
+    rho(m) has period N in m, so any integer lag is valid. The value is lag
+    m mod N of ``var_rho_empirical_profile`` over one chunk of ``trials``
+    patterns: one ``_shuffled_picks`` draw, the stream of
+    ``draw_active_positions(cfg, trials, rng)``.
     """
-    m, trials = _as_int("m", m) % cfg.n_fft, _as_int("trials", trials, 1)
-    pos = draw_active_positions(cfg, trials, rng)
-    w = np.exp(-2j * np.pi * m * np.arange(cfg.n_fft) / cfg.n_fft)
-    rho = w[pos].sum(axis=1) / cfg.total_active
-    return float(np.mean(np.abs(rho) ** 2) - np.abs(np.mean(rho)) ** 2)
+    m, trials = _as_int("m", m), _as_int("trials", trials, 1)
+    return float(var_rho_empirical_profile(cfg, trials, rng, chunk=trials)[m % cfg.n_fft])
 
 
 # patterns per chunk of var_rho_empirical_profile: the draw of one chunk is one

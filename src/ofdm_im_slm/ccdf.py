@@ -110,6 +110,20 @@ class SchemeDescriptor:
         return cls(mode="original", u=1, pss_kind="all-ones", perm_kind="identity", sap_source=sap_source)
 
 
+def _gamma_grid(values) -> np.ndarray:
+    """``values`` as a float array if they are one nonempty, finite and
+    strictly increasing row of gamma points, else ValueError."""
+    gamma = np.asarray(values, dtype=float)
+    if gamma.size == 0:
+        raise ValueError("gamma grid is empty")
+    if gamma.ndim != 1 or not np.all(np.isfinite(gamma)):
+        raise ValueError("gamma grid must be one row of finite values")
+    # written so that a NaN difference fails too
+    if not np.all(np.diff(gamma) > 0):
+        raise ValueError("gamma grid must be strictly increasing")
+    return gamma
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     """Complete experiment protocol; everything a run needs, seed included."""
@@ -122,18 +136,10 @@ class TrialPlan:
     oversample: int = 1
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma_db, dtype=float)
-        object.__setattr__(self, "gamma_db", gamma)
         object.__setattr__(self, "trials", _as_int("trials", self.trials, 1))
         object.__setattr__(self, "seed", _as_int("seed", self.seed, 0))
         object.__setattr__(self, "oversample", _as_int("oversample", self.oversample, 1))
-        if gamma.size == 0:
-            raise ValueError("gamma grid is empty")
-        if gamma.ndim != 1 or not np.all(np.isfinite(gamma)):
-            raise ValueError("gamma grid must be one row of finite values")
-        # written so that a NaN difference fails too
-        if not np.all(np.diff(gamma) > 0):
-            raise ValueError("gamma grid must be strictly increasing")
+        object.__setattr__(self, "gamma_db", _gamma_grid(self.gamma_db))
         cfg = self.cfg
         largest = max(
             min(self.trials, BATCH_TRIALS) * cfg.n_fft,
@@ -178,7 +184,7 @@ class CcdfCurve:
     trials: int
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma_db, dtype=float)
+        gamma = _gamma_grid(self.gamma_db)
         given = np.asarray(self.counts)
         kind = given.dtype.kind
         # a cast to int64 would truncate 2.7 to 2 without a word

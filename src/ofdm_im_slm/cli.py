@@ -47,7 +47,6 @@ from .analysis import (
 )
 from .ccdf import (
     MAX_PLAN_ELEMENTS,
-    CcdfCurve,
     SchemeDescriptor,
     TrialPlan,
     curve_csv_text,
@@ -98,16 +97,23 @@ def _add_config_args(p: argparse.ArgumentParser, active_default=None):
     p.add_argument("--mod-order", type=int, default=4, help="constellation order")
 
 
-def _build_cfg(args) -> SystemConfig:
+@contextlib.contextmanager
+def _refused(what: str = ""):
+    """Exit 2 with ``what`` and the message of a ValueError that the block raises."""
     try:
+        yield
+    except ValueError as e:
+        raise CliError(2, f"{what}{e}")
+
+
+def _build_cfg(args) -> SystemConfig:
+    with _refused("invalid configuration: "):
         return SystemConfig(
             n_fft=args.n_fft,
             group_size=args.group_size,
             active=args.active,
             mod_order=args.mod_order,
         )
-    except ValueError as e:
-        raise CliError(2, f"invalid configuration: {e}")
 
 
 # Longest gamma grid, in points: a 0.001 dB step over 100 dB. Every point is
@@ -208,30 +214,29 @@ def _open_mode(target: str) -> int:
         return 0o666 & ~umask
 
 
-def _check_writable(path: str):
-    """Exit 3 before a run whose output could not be written; create nothing.
+def _check_out(out: str, base: str | None = None, *paths: str):
+    """Before a run, and creating nothing: exit 2 for an --out that names no
+    file, then exit 3 for an output that could not be written.
 
-    An existing ``path`` must open for writing, and its directory must take
-    the temporary file that ``_write_lines`` renames into place.
+    --out names no file if it is empty or ends in a directory separator;
+    ``base`` is checked in place of ``out`` when ``out`` has had a suffix
+    taken off (``ccdf --out .csv``). Each output, ``paths`` or else ``out``,
+    must open for writing if it exists, and its directory must take the
+    temporary file that ``_write_lines`` renames into place.
     """
-    target = os.path.realpath(path)
-    try:
-        if os.path.exists(target):
-            with open(target, "a"):
-                pass
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".", suffix=".tmp")
-        os.close(fd)
-        os.remove(tmp)
-    except OSError as e:
-        raise CliError(3, f"cannot write {path}: {e.strerror or e}")
-
-
-def _check_out_name(out: str, base: str | None = None):
-    """Exit 2 for an --out that names no file: an empty name, or one that
-    ends in a directory separator. ``base`` is checked in place of ``out``
-    when ``out`` has had a suffix taken off (``ccdf --out .csv``)."""
     if not os.path.basename(out if base is None else base):
         raise CliError(2, f"--out {out!r} names no file")
+    for path in paths or (out,):
+        target = os.path.realpath(path)
+        try:
+            if os.path.exists(target):
+                with open(target, "a"):
+                    pass
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".", suffix=".tmp")
+            os.close(fd)
+            os.remove(tmp)
+        except OSError as e:
+            raise CliError(3, f"cannot write {path}: {e.strerror or e}")
 
 
 def _load_sap(path: str, cfg: SystemConfig) -> Sap:
@@ -258,7 +263,7 @@ def cmd_ccdf(args) -> int:
         perm_kind = perm_arg if perm_arg in ("identity", "random") else "pinned"
         if perm_kind == "pinned":
             pinned_perms = _load(perm_arg, "permutation", lambda doc: perm_set_from_json(doc, cfg))
-        try:
+        with _refused("invalid scheme: "):
             scheme = SchemeDescriptor(
                 mode="slm",
                 u=u,
@@ -269,9 +274,7 @@ def cmd_ccdf(args) -> int:
                 pinned_pss=pinned_pss,
                 pinned_perms=pinned_perms,
             )
-        except ValueError as e:
-            raise CliError(2, f"invalid scheme: {e}")
-    try:
+    with _refused("invalid plan: "):
         plan = TrialPlan(
             cfg=cfg,
             scheme=scheme,
@@ -280,23 +283,14 @@ def cmd_ccdf(args) -> int:
             gamma_db=_parse_gamma(args.gamma),
             oversample=args.oversample,
         )
-    except ValueError as e:
-        raise CliError(2, f"invalid plan: {e}")
-
-    try:
+    with _refused():
         _as_int("--workers", args.workers, 1)
-    except ValueError as e:
-        raise CliError(2, str(e))
-    try:
+    with _refused("invalid generator sets: "):
         plan.generator_sets  # built and checked once, here
-    except ValueError as e:
-        raise CliError(2, f"invalid generator sets: {e}")
 
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
-    _check_out_name(args.out, base)
     csv_path, json_path = base + ".csv", base + ".json"
-    _check_writable(csv_path)
-    _check_writable(json_path)
+    _check_out(args.out, base, csv_path, json_path)
 
     curve = run_ccdf(plan, workers=args.workers)
     _write_lines(csv_path, [curve_csv_text(curve)])
@@ -315,18 +309,15 @@ def cmd_analyze_perm(args) -> int:
     if not args.perm_file and args.u < 2:
         raise CliError(2, f"--u must be >= 2 to form a pair, got {args.u}")
     if args.out is not None:
-        _check_out_name(args.out)
-        _check_writable(args.out)
+        _check_out(args.out)
     if args.perm_file:
         perms = _load(args.perm_file, "permutation", lambda doc: perm_set_from_json(doc, cfg))
         _check_mu_work(perms.u, cfg.n_fft)
     else:
         _check_mu_work(args.u, cfg.n_fft)  # before the set is drawn
         rng = np.random.default_rng(args.seed)
-        try:
+        with _refused():
             perms = gen_perm_set(cfg, args.u, args.kind, rng)
-        except ValueError as e:
-            raise CliError(2, str(e))
     if perms.u < 2:
         raise CliError(2, "need at least two permutations to form a pair")
 
@@ -358,20 +349,17 @@ def cmd_analyze_perm(args) -> int:
 
 def cmd_analyze_pss(args) -> int:
     cfg = _build_cfg(args)
-    _check_out_name(args.out)
-    _check_writable(args.out)
+    _check_out(args.out)
     rng = np.random.default_rng(args.seed)
     if args.pss_file:
         pss = _load(args.pss_file, "PSS", lambda doc: pss_from_json(doc).check(cfg))
     else:
         _check_array_size(args.u, cfg.n_fft)  # the U x N set drawn here
-        try:
+        with _refused("invalid PSS: "):
             if args.pss == "hadamard":
                 pss = gen_hadamard_pss(cfg, args.u)
             else:
                 pss = gen_random_pss(cfg, args.u, rng, alphabet=args.pss_alphabet)
-        except ValueError as e:
-            raise CliError(2, f"invalid PSS: {e}")
     u, v = args.pair
     if not (0 <= u < pss.u and 0 <= v < pss.u and u != v):
         raise CliError(2, f"bad pair ({u},{v}) for a set of {pss.u} sequences")
@@ -398,8 +386,7 @@ def cmd_verify_var_rho(args) -> int:
     # a pattern, which this check of N complex values a pattern still over-estimates
     _check_array_size(min(args.trials, VAR_RHO_CHUNK), cfg.n_fft)
     if args.out is not None:
-        _check_out_name(args.out)
-        _check_writable(args.out)
+        _check_out(args.out)
     if args.m_values is not None:
         try:
             m_list = [int(v) for v in args.m_values.split(",")]
@@ -409,10 +396,8 @@ def cmd_verify_var_rho(args) -> int:
             raise CliError(2, "--m-values out of range")
     else:
         m_list = range(cfg.n_fft)
-    try:
+    with _refused("invalid run: "):
         empirical = var_rho_empirical_profile(cfg, args.trials, np.random.default_rng(args.seed))
-    except ValueError as e:
-        raise CliError(2, f"invalid run: {e}")
 
     def lines():
         yield "m,analytic,empirical,rel_error\n"

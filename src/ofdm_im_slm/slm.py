@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SystemConfig, _as_int
+from .core import SystemConfig, _as_int, _shown
 
 # Feedback polynomials x^m + ... + 1 known to generate maximal-length
 # sequences, given as exponent tuples. Each entry is re-verified at
@@ -101,6 +101,12 @@ def cyclic_hadamard_matrix(degree: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # phase sequence sets
 
+def _check_kind(kind):
+    """ValueError unless the ``kind`` of a set, which reports copy, is a string."""
+    if not isinstance(kind, str):
+        raise ValueError(f"kind must be a string, got {_shown(kind)}")
+
+
 @dataclass(frozen=True)
 class PhaseSequenceSet:
     """U unit-modulus rows of length n_fft, pairwise distinct.
@@ -112,6 +118,7 @@ class PhaseSequenceSet:
     kind: str = "explicit"
 
     def __post_init__(self):
+        _check_kind(self.kind)
         seq = np.atleast_2d(np.asarray(self.sequences, dtype=complex))
         object.__setattr__(self, "sequences", seq)
         if seq.ndim != 2 or seq.shape[0] < 1:
@@ -186,6 +193,7 @@ class PermutationSet:
     kind: str = "explicit"
 
     def __post_init__(self):
+        _check_kind(self.kind)
         rows = np.atleast_2d(np.asarray(self.perms))
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("need a 2-D array of at least one permutation")

@@ -132,20 +132,6 @@ def test_var_rho_profile_matches_single_lag():
     assert profile[16] < 1e-20 and profile[32] < 1e-20
 
 
-def test_var_rho_profile_equals_out_of_place_expression():
-    # the chunk size is part of the stream: 7000 + 7000 + 1000 draws
-    profile = var_rho_empirical_profile(CFG, 15000, np.random.default_rng(3), chunk=7000)
-    rng = np.random.default_rng(3)
-    acc_abs2, acc_mean = np.zeros(64), np.zeros(64, dtype=complex)
-    for b in (7000, 7000, 1000):
-        alpha = np.zeros((b, 64))
-        np.put_along_axis(alpha, draw_active_positions(CFG, b, rng), 1.0, axis=1)
-        rho = np.fft.fft(alpha, axis=1) / CFG.total_active
-        acc_abs2 += np.sum(np.abs(rho) ** 2, axis=0)
-        acc_mean += np.sum(rho, axis=0)
-    assert np.array_equal(profile, acc_abs2 / 15000 - np.abs(acc_mean / 15000) ** 2)
-
-
 def var_rho_profile_oracle(cfg, trials, rng, chunk):
     """The profile with each chunk as one (b, N) array, transformed out of place."""
     N = cfg.n_fft
@@ -163,13 +149,15 @@ def var_rho_profile_oracle(cfg, trials, rng, chunk):
 @pytest.mark.parametrize("cfg,trials,chunk", [
     # tiles of 512 rows at N = 64: 2500 = 4 * 512 + 452, chunks 2500 + 2500 + 1
     (CFG, 5001, 2500),
+    # chunks 7000 + 7000 + 1000
+    (CFG, 15000, 7000),
     (CFG, 1, 20000),
     (CFG8, 999, 20000),
     # tiles of 128 rows at N = 256: a chunk of 700 ends in a partial tile
     (SystemConfig(n_fft=256, group_size=16, active=3, mod_order=4), 1401, 700),
     # a tile of one row at N = 2^17
     (SystemConfig(n_fft=1 << 17, group_size=4, active=1, mod_order=4), 3, 2),
-], ids=["N64", "N64-one-trial", "N8", "N256", "N131072"])
+], ids=["N64", "N64-15000-7000", "N64-one-trial", "N8", "N256", "N131072"])
 def test_var_rho_profile_equals_one_array_per_chunk(cfg, trials, chunk):
     a, b = np.random.default_rng(trials), np.random.default_rng(trials)
     profile = var_rho_empirical_profile(cfg, trials, a, chunk=chunk)
@@ -318,6 +306,40 @@ def test_var_rho_profile_bytes_do_not_depend_on_the_tile(monkeypatch):
         monkeypatch.setattr(analysis, "_VAR_RHO_TILE", tile)
         profiles.append(var_rho_empirical_profile(CFG, 5001, np.random.default_rng(4), chunk=2500))
     assert all(p.tobytes() == profiles[0].tobytes() for p in profiles[1:])
+
+
+@pytest.mark.parametrize("cfg,m,trials", [
+    (CFG, 1, 1),
+    (CFG, 3, 5001),
+    (CFG, -63, 20001),  # lag 1, and more trials than a profile chunk of the CLI
+    (SystemConfig(64, 16, 14, 4), 32, 3000),  # a zero lag
+    (CFG8, 5, 999),
+], ids=["one-trial", "N64", "lag-minus-63", "k14-zero-lag", "N8"])
+def test_var_rho_empirical_is_the_profile_lag_of_one_chunk(cfg, m, trials):
+    a, b, c = (np.random.default_rng(trials) for _ in range(3))
+    emp = var_rho_empirical(cfg, m, trials, a)
+    profile = var_rho_empirical_profile(cfg, trials, b, chunk=trials)
+    assert np.float64(emp).tobytes() == profile[m % cfg.n_fft].tobytes()
+    # one chunk is one draw: the stream of the sorted draw of every pattern
+    draw_active_positions(cfg, trials, c)
+    assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+
+def test_var_rho_empirical_of_1e5_trials_at_k14_stays_under_32_mib():
+    # the one chunk's 10^5 x 56 int32 picks (22.4 MB) and two tile buffers;
+    # a gather of a (10^5, 56) complex array and its row sums peaked at 108 MiB
+    cfg14 = SystemConfig(64, 16, 14, 4)
+    assert traced_peak(var_rho_empirical, cfg14, 1, 100000, np.random.default_rng(0)) < 32 << 20
+
+
+def test_var_rho_empirical_checks_m_and_trials_before_it_draws(monkeypatch):
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a draw thread started"))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for m, trials in ((2.5, 10), (True, 10), (1, 0), (1, 2.5)):
+        with pytest.raises(ValueError):
+            var_rho_empirical(CFG, m, trials, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_var_rho_empirical_rejects_bad_trials():

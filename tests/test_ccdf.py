@@ -125,6 +125,22 @@ def test_curve_validation():
     assert np.allclose(curve.probabilities, [0.9, 0.5])
     # counts equal to whole numbers pass, whatever their type
     assert CcdfCurve(gamma_db=[4.0, 5.0], counts=[9.0, 5.0], trials=10).counts.tolist() == [9, 5]
+    # the gamma rule of TrialPlan: these ended in an IndexError or a TypeError
+    # of the readout, or in a curve whose grid is no grid
+    for gamma, counts, message in [
+        ([], [], "empty"),
+        ([[4.0, 5.0]], [[3, 1]], "one row of finite values"),
+        ([4.0, np.nan], [3, 1], "one row of finite values"),
+        ([4.0, np.inf], [3, 1], "one row of finite values"),
+        ([4.0, 4.0], [3, 1], "strictly increasing"),
+        ([5.0, 4.0], [3, 1], "strictly increasing"),
+    ]:
+        with pytest.raises(ValueError, match=f"^gamma grid (is|must be) {message}$"):
+            CcdfCurve(gamma_db=gamma, counts=counts, trials=4)
+    with pytest.raises(ValueError, match="empty"):
+        papr_at_ccdf(CcdfCurve([], [], 100), 0.5)
+    with pytest.raises(ValueError, match="one row"):
+        curve_csv_text(CcdfCurve([[4.0, 5.0]], [[3, 1]], 4))
 
 
 # ---------------------------------------------------------------------------

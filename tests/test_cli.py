@@ -932,6 +932,27 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, argv, doc):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 
+IDENTITY_ROWS = [list(range(64))] * 2
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["analyze-perm", "--perm-file"], {"kind": {"nested": [1, 2]}, "perms": IDENTITY_ROWS}),
+    (["analyze-perm", "--perm-file"], {"kind": None, "perms": IDENTITY_ROWS}),
+    (["ccdf", "--u", "2", "--pss"], {"kind": ["x"], "n_fft": 64, "phases": [[0.0] * 64, [np.pi] * 64]}),
+], ids=["perm-dict", "perm-null", "pss-list"])
+def test_set_file_whose_kind_is_no_string_exit_2(tmp_path, capsys, argv, doc):
+    # the kind was copied into the analyze-perm report as it stood
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    out = ["--trials", "10", "--out", str(tmp_path / "x")] if argv[0] == "ccdf" else ["--out", str(tmp_path / "x.json")]
+    rc = run_cli([argv[0], *BASE, *argv[1:], str(path), *out])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: malformed {'PSS' if argv[0] == 'ccdf' else 'permutation'} file {path}: ")
+    assert captured.err.endswith(": kind must be a string, got " + repr(doc["kind"]) + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
 @needs_fork_and_statm
 @pytest.mark.parametrize("argv", [
     ["ccdf", "--u", "2", "--trials", "1", "--out"],

@@ -667,6 +667,22 @@ def test_set_json_text_is_the_element_by_element_encoding():
     assert json.dumps(perm_set_to_json(perms)) == json.dumps(perm_doc)
 
 
+@pytest.mark.parametrize("kind", [None, ["x"], {"nested": [1, 2]}, 3, b"random"], ids=repr)
+def test_sets_refuse_a_kind_that_is_no_string(kind):
+    # a set file's kind is copied into the analyze-perm report
+    with pytest.raises(ValueError, match="^kind must be a string, got "):
+        PhaseSequenceSet(np.ones((1, 8)), kind=kind)
+    with pytest.raises(ValueError, match="^kind must be a string, got "):
+        PermutationSet(np.arange(8), kind=kind)
+    rng = np.random.default_rng(0)
+    pss_doc = {**pss_to_json(gen_random_pss(CFG, 2, rng)), "kind": kind}
+    perm_doc = {**perm_set_to_json(gen_perm_set(CFG, 2, "random", rng)), "kind": kind}
+    with pytest.raises(ValueError, match="kind"):
+        pss_from_json(pss_doc)
+    with pytest.raises(ValueError, match="kind"):
+        perm_set_from_json(perm_doc, CFG)
+
+
 def test_perm_json_roundtrip_and_validation():
     rng = np.random.default_rng(15)
     perms = gen_perm_set(CFG, 3, "random", rng)
