@@ -32,6 +32,7 @@ from .core import (
     draw_active_positions,
     idft,
     sample_random_sap,
+    sap_from_json,
     subset_rank,
     subset_unrank,
 )

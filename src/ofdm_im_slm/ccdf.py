@@ -43,8 +43,11 @@ import numpy as np
 
 from .core import Constellation, SystemConfig, _as_int, _shown, draw_active_positions
 from .slm import (
+    IDENTITY,
+    PERM_DRAWS,
     PermutationSet,
     PhaseSequenceSet,
+    _alphabet_draw,
     all_ones_pss,
     candidate_paprs_db,
     gen_hadamard_pss,
@@ -69,9 +72,12 @@ MAX_SUBSET_TABLE_ENTRIES = 1 << 22
 # size at once.
 MAX_PLAN_ELEMENTS = 1 << 25
 
+# The choices of a scheme, each listed once; the CLI offers these lists.
+# The generated permutation kinds and the PSS alphabets are listed in slm.
+MODES = (ORIGINAL, SLM) = ("original", "slm")
+SAP_SOURCES = (UNIFORM, BITS) = ("uniform", "bits")
 PSS_KINDS = ("random", "cyclic-hadamard", "pinned", "all-ones")
-PERM_KINDS = ("identity", "random", "pinned")
-SAP_SOURCES = ("uniform", "bits")
+PERM_KINDS = (*PERM_DRAWS, "pinned")
 
 
 @dataclass(frozen=True)
@@ -81,33 +87,41 @@ class SchemeDescriptor:
     mode: str
     u: int = 1
     pss_kind: str = "random"
-    perm_kind: str = "identity"
-    sap_source: str = "uniform"
+    perm_kind: str = IDENTITY
+    sap_source: str = UNIFORM
     pss_alphabet: str = "quaternary"
     pinned_pss: PhaseSequenceSet | None = None
     pinned_perms: PermutationSet | None = None
 
     def __post_init__(self):
-        if self.mode not in ("original", "slm"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         # original transmission is SLM with one untouched branch
-        if self.mode == "original" and (self.pss_kind != "all-ones" or self.perm_kind != "identity"):
+        if self.mode == ORIGINAL and (self.pss_kind != "all-ones" or self.perm_kind != IDENTITY):
             raise ValueError("original mode implies u=1, all-ones PSS, identity permutation")
         object.__setattr__(self, "u", _as_int("u", self.u, 1))
         if self.pss_kind not in PSS_KINDS or self.perm_kind not in PERM_KINDS:
             raise ValueError(f"unknown pss/perm kind: {self.pss_kind}/{self.perm_kind}")
         if self.pss_kind == "all-ones" and self.u != 1:
             raise ValueError(f"an all-ones PSS has one sequence, so u must be 1, got {self.u}")
-        if self.pss_kind == "pinned" and (self.pinned_pss is None or self.pinned_pss.u != self.u):
+        pinned_pss, pinned_perms = self.pinned_pss, self.pinned_perms
+        if self.pss_kind == "pinned" and not (isinstance(pinned_pss, PhaseSequenceSet) and pinned_pss.u == self.u):
             raise ValueError("pinned pss_kind requires pinned_pss with matching u")
-        if self.perm_kind == "pinned" and (self.pinned_perms is None or self.pinned_perms.u != self.u):
+        if self.perm_kind == "pinned" and not (isinstance(pinned_perms, PermutationSet) and pinned_perms.u == self.u):
             raise ValueError("pinned perm_kind requires pinned_perms with matching u")
+        # a run takes a pinned set only from a pinned kind
+        if self.pss_kind != "pinned" and self.pinned_pss is not None:
+            raise ValueError(f"pinned_pss is given, but pss_kind is {self.pss_kind!r}, not 'pinned'")
+        if self.perm_kind != "pinned" and self.pinned_perms is not None:
+            raise ValueError(f"pinned_perms is given, but perm_kind is {self.perm_kind!r}, not 'pinned'")
         if self.sap_source not in SAP_SOURCES:
             raise ValueError(f"unknown sap_source {self.sap_source!r}")
+        # checked whatever the PSS kind, as the plan JSON records it
+        _alphabet_draw(self.pss_alphabet)
 
     @classmethod
-    def original(cls, sap_source: str = "uniform") -> "SchemeDescriptor":
-        return cls(mode="original", u=1, pss_kind="all-ones", perm_kind="identity", sap_source=sap_source)
+    def original(cls, sap_source: str = UNIFORM) -> "SchemeDescriptor":
+        return cls(mode=ORIGINAL, pss_kind="all-ones", sap_source=sap_source)
 
 
 def _gamma_grid(values) -> np.ndarray:
@@ -151,7 +165,7 @@ class TrialPlan:
                 f"the plan needs an array of {largest} complex values (a batch's drawn positions and "
                 f"symbol indices, a kernel tile row or the constellation), more than {MAX_PLAN_ELEMENTS}"
             )
-        if self.scheme.sap_source == "bits" and (cfg.active << cfg.index_bits) > MAX_SUBSET_TABLE_ENTRIES:
+        if self.scheme.sap_source == BITS and (cfg.active << cfg.index_bits) > MAX_SUBSET_TABLE_ENTRIES:
             raise ValueError(
                 f"bits sap_source needs a table of 2^{cfg.index_bits} patterns of {cfg.active} rows, "
                 f"more than {MAX_SUBSET_TABLE_ENTRIES} entries; use the uniform sap_source"
@@ -167,7 +181,7 @@ class TrialPlan:
         """Bits mode: the int32 pattern of every rank, row r =
         ``core.subset_unrank(r, n, k)`` (``combinations`` runs in
         lexicographic order). None for uniform patterns."""
-        if self.scheme.sap_source != "bits":
+        if self.scheme.sap_source != BITS:
             return None
         words, k = 1 << self.cfg.index_bits, self.cfg.active
         subsets = itertools.islice(itertools.combinations(range(self.cfg.group_size), k), words)
@@ -219,7 +233,10 @@ def default_gamma_grid() -> np.ndarray:
 
 
 def instantiate_scheme(plan: TrialPlan):
-    """Deterministically build (pss, perms) for a plan from stream (seed, 0)."""
+    """Deterministically build (pss, perms) for a plan from stream (seed, 0).
+
+    A generated set fits the config by construction; a pinned one is checked.
+    """
     cfg, scheme = plan.cfg, plan.scheme
     setup_rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(0,)))
     if scheme.pss_kind == "all-ones":
@@ -229,12 +246,12 @@ def instantiate_scheme(plan: TrialPlan):
     elif scheme.pss_kind == "cyclic-hadamard":
         pss = gen_hadamard_pss(cfg, scheme.u)
     else:
-        pss = scheme.pinned_pss
+        pss = scheme.pinned_pss.check(cfg)
     if scheme.perm_kind == "pinned":
-        perms = scheme.pinned_perms
+        perms = scheme.pinned_perms.check(cfg)
     else:
         perms = gen_perm_set(cfg, scheme.u, scheme.perm_kind, setup_rng)
-    return pss.check(cfg), perms.check(cfg)
+    return pss, perms
 
 
 def _batch_counts(plan: TrialPlan, batch_index: int) -> np.ndarray:
@@ -244,12 +261,13 @@ def _batch_counts(plan: TrialPlan, batch_index: int) -> np.ndarray:
     size = min(BATCH_TRIALS, plan.trials - batch_index * BATCH_TRIALS)
     rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(2, batch_index)))
 
-    if plan.scheme.sap_source == "uniform":
+    if plan.scheme.sap_source == UNIFORM:
         # sorted: column j of the positions takes column j of the symbol draw
         pos = draw_active_positions(cfg, size, rng)
     else:
         G, table = cfg.num_groups, plan.subset_table
-        ranks = np.stack([rng.integers(0, table.shape[0], size=size) for _ in range(G)], axis=1)
+        # group by group, as G draws of size ranks would be
+        ranks = rng.integers(0, table.shape[0], size=(G, size)).T
         # one gather of every trial's G row subsets, made flat indices in place
         pos = table[ranks]
         pos *= G

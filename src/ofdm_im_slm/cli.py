@@ -47,6 +47,10 @@ from .analysis import (
 )
 from .ccdf import (
     MAX_PLAN_ELEMENTS,
+    MODES,
+    ORIGINAL,
+    SAP_SOURCES,
+    SLM,
     SchemeDescriptor,
     TrialPlan,
     curve_csv_text,
@@ -54,9 +58,11 @@ from .ccdf import (
     plan_json_doc,
     run_ccdf,
 )
-from .core import GroupSap, Sap, SystemConfig, _as_int, sample_random_sap
+from .core import Sap, SystemConfig, _as_int, sample_random_sap, sap_from_json
 from .slm import (
     HADAMARD_N_FFT,
+    PERM_DRAWS,
+    PSS_ALPHABETS,
     gen_hadamard_pss,
     gen_perm_set,
     gen_random_pss,
@@ -240,7 +246,11 @@ def _check_out(out: str, base: str | None = None, *paths: str):
 
 
 def _load_sap(path: str, cfg: SystemConfig) -> Sap:
-    return _load(path, "SAP", lambda doc: Sap(tuple(GroupSap(rows) for rows in doc["groups"])).check(cfg))
+    return _load(path, "SAP", lambda doc: sap_from_json(doc, cfg))
+
+
+# The PSS names of ccdf --pss and analyze-pss --pss, each with its scheme PSS kind.
+PSS_FLAGS = {"random": "random", "hadamard": "cyclic-hadamard"}
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +259,7 @@ def _load_sap(path: str, cfg: SystemConfig) -> Sap:
 def cmd_ccdf(args) -> int:
     cfg = _build_cfg(args)
     pinned_pss = pinned_perms = None
-    if args.scheme == "original":
+    if args.scheme == ORIGINAL:
         if args.u is not None or args.pss is not None or args.perm is not None:
             raise CliError(2, "--u/--pss/--perm are not accepted with --scheme original")
         scheme = SchemeDescriptor.original(sap_source=args.sap_source)
@@ -257,15 +267,15 @@ def cmd_ccdf(args) -> int:
         u = 4 if args.u is None else args.u
         pss_arg = args.pss or "random"
         perm_arg = args.perm or "identity"
-        pss_kind = {"random": "random", "hadamard": "cyclic-hadamard"}.get(pss_arg, "pinned")
+        pss_kind = PSS_FLAGS.get(pss_arg, "pinned")
         if pss_kind == "pinned":
-            pinned_pss = _load(pss_arg, "PSS", lambda doc: pss_from_json(doc).check(cfg))
-        perm_kind = perm_arg if perm_arg in ("identity", "random") else "pinned"
+            pinned_pss = _load(pss_arg, "PSS", lambda doc: pss_from_json(doc, cfg))
+        perm_kind = perm_arg if perm_arg in PERM_DRAWS else "pinned"
         if perm_kind == "pinned":
             pinned_perms = _load(perm_arg, "permutation", lambda doc: perm_set_from_json(doc, cfg))
         with _refused("invalid scheme: "):
             scheme = SchemeDescriptor(
-                mode="slm",
+                mode=SLM,
                 u=u,
                 pss_kind=pss_kind,
                 perm_kind=perm_kind,
@@ -352,11 +362,11 @@ def cmd_analyze_pss(args) -> int:
     _check_out(args.out)
     rng = np.random.default_rng(args.seed)
     if args.pss_file:
-        pss = _load(args.pss_file, "PSS", lambda doc: pss_from_json(doc).check(cfg))
+        pss = _load(args.pss_file, "PSS", lambda doc: pss_from_json(doc, cfg))
     else:
         _check_array_size(args.u, cfg.n_fft)  # the U x N set drawn here
         with _refused("invalid PSS: "):
-            if args.pss == "hadamard":
+            if PSS_FLAGS[args.pss] == "cyclic-hadamard":
                 pss = gen_hadamard_pss(cfg, args.u)
             else:
                 pss = gen_random_pss(cfg, args.u, rng, alphabet=args.pss_alphabet)
@@ -428,12 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ccdf", help="run a Monte-Carlo CCDF experiment")
     _add_config_args(p, active_default=2)
-    p.add_argument("--scheme", choices=("original", "slm"), default="slm")
+    p.add_argument("--scheme", choices=MODES, default="slm")
     p.add_argument("--u", type=int, default=None, help="SLM branches (default 4)")
     p.add_argument("--pss", default=None, help=f"random, {hadamard}, or a PSS JSON file")
     p.add_argument("--perm", default=None, help="identity, random, or a permutation JSON file")
-    p.add_argument("--pss-alphabet", choices=("binary", "quaternary", "continuous"), default="quaternary")
-    p.add_argument("--sap-source", choices=("uniform", "bits"), default="uniform")
+    p.add_argument("--pss-alphabet", choices=PSS_ALPHABETS, default="quaternary")
+    p.add_argument("--sap-source", choices=SAP_SOURCES, default="uniform")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--gamma", default="4:13:0.1",
@@ -446,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-perm", help="mu metric of a permutation set")
     _add_config_args(p, active_default=1)
     p.add_argument("--perm-file", default=None, help="permutation set JSON file")
-    p.add_argument("--kind", choices=("identity", "random"), default="random")
+    p.add_argument("--kind", choices=PERM_DRAWS, default="random")
     p.add_argument("--u", type=int, default=2)
     p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--out", default=None, help="write the report as JSON")
@@ -455,9 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-pss", help="cross-correlation spectra of a PSS pair")
     _add_config_args(p, active_default=2)
     p.add_argument("--pss-file", default=None, help="PSS JSON file")
-    p.add_argument("--pss", choices=("random", "hadamard"), default="random",
-                   help=f"random, or {hadamard}")
-    p.add_argument("--pss-alphabet", choices=("binary", "quaternary", "continuous"), default="quaternary")
+    p.add_argument("--pss", choices=PSS_FLAGS, default="random", help=f"random, or {hadamard}")
+    p.add_argument("--pss-alphabet", choices=PSS_ALPHABETS, default="quaternary")
     p.add_argument("--u", type=int, default=2)
     p.add_argument("--pair", type=int, nargs=2, default=(0, 1), metavar=("U", "V"))
     p.add_argument("--sap-file", default=None, help="SAP JSON file (default: random SAP from --seed)")

@@ -208,7 +208,18 @@ class Sap:
     groups: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
+        try:
+            groups = tuple(self.groups)
+        except TypeError:
+            raise ValueError(f"groups must be a collection of row subsets, got {_shown(self.groups)}") from None
+        # a group given as plain rows has them checked by GroupSap; when all
+        # are GroupSaps, as in every Sap of block_from_bits, the loop costs
+        # one type test a group and builds no second tuple
+        for g in groups:
+            if not isinstance(g, GroupSap):
+                groups = tuple(x if isinstance(x, GroupSap) else GroupSap(x) for x in groups)
+                break
+        object.__setattr__(self, "groups", groups)
 
     @cached_property
     def active(self) -> tuple:
@@ -231,6 +242,11 @@ class Sap:
             if len(gs.rows) != cfg.active or any(r >= cfg.group_size for r in gs.rows):
                 raise ValueError(f"group rows out of range for cfg: {gs.rows}")
         return self
+
+
+def sap_from_json(doc: dict, cfg: SystemConfig) -> Sap:
+    """The Sap of a SAP document, ``{"groups": [[row, ...], ...]}``, checked against ``cfg``."""
+    return Sap(doc["groups"]).check(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +325,9 @@ def _shuffled_picks(cfg: SystemConfig, trials: int, rng: np.random.Generator) ->
     Group g draws one row-wise shuffle of all trials before group g+1, and
     each row of ``[:, g]`` holds the first k entries r of its shuffle in
     the order the shuffle leaves them, not sorted. The shuffles run in
-    place in one buffer of about _SHUFFLE_VALUES values: several groups'
-    rows, group-major, share one call when trials is small, and one group's
-    rows go through several calls when trials is large. ``rng.permuted``
-    shuffles rows in order, so either is the stream of one call per group.
+    place in one buffer of about _SHUFFLE_VALUES values, so one group's
+    rows go through several calls when trials is large; ``rng.permuted``
+    shuffles rows in order, so that is the stream of one call per group.
     The buffer stays ``intp``, on which ``rng.permuted`` runs faster; only
     the picks are written as int32, so an n_fft above 2^31, whose indices
     would wrap, is refused before anything is drawn or allocated.
@@ -321,24 +336,18 @@ def _shuffled_picks(cfg: SystemConfig, trials: int, rng: np.random.Generator) ->
     if cfg.n_fft > 1 << 31:
         raise ValueError(f"n_fft={cfg.n_fft} is above 2^31: its subcarrier indices do not fit in int32")
     n, k, G = cfg.group_size, cfg.active, cfg.num_groups
-    rows_per_call = max(1, _SHUFFLE_VALUES // n)
-    per_call = min(G, max(1, rows_per_call // max(trials, 1)))  # groups per call
-    step = max(1, min(trials, rows_per_call))  # trials per call
+    step = max(1, min(trials, _SHUFFLE_VALUES // n))  # trials per call
     out = np.empty((trials, G, k), dtype=np.int32)
-    buf = np.empty((per_call * step, n), dtype=np.intp)
-    for g0 in range(0, G, per_call):
-        gc = min(per_call, G - g0)
+    buf = np.empty((step, n), dtype=np.intp)
+    for g in range(G):
         for s in range(0, trials, step):
-            t = min(step, trials - s)  # gc > 1 only when t == trials
-            rows = buf[: gc * t]
+            rows = buf[: min(step, trials - s)]
             rows[...] = np.arange(n)
             rng.permuted(rows, axis=1, out=rows)
-            # flat indices in contiguous intp picks, then one casting copy; a
-            # multiply of the strided slice would hold a second copy of it
-            picks = rows[:, :k].copy().reshape(gc, t, k)
-            picks *= G
-            picks += np.arange(g0, g0 + gc)[:, None, None]
-            out[s : s + t, g0 : g0 + gc] = picks.transpose(1, 0, 2)
+            # one contiguous intp array of flat indices, then one casting copy
+            picks = rows[:, :k] * G
+            picks += g
+            out[s : s + len(rows), g] = picks
     return out
 
 

@@ -158,20 +158,28 @@ def gen_hadamard_pss(cfg: SystemConfig, u: int) -> PhaseSequenceSet:
     return PhaseSequenceSet(h[:u].astype(complex), kind="cyclic-hadamard")
 
 
+# The alphabets of gen_random_pss, each name with its draw of a (u, n) set.
+PSS_ALPHABETS = {
+    "binary": lambda rng, shape: (1.0 - 2.0 * rng.integers(0, 2, shape)).astype(complex),
+    "quaternary": lambda rng, shape: np.exp(1j * np.pi / 2 * rng.integers(0, 4, shape)),
+    "continuous": lambda rng, shape: np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape)),
+}
+
+
+def _alphabet_draw(alphabet):
+    """The draw of ``alphabet`` in PSS_ALPHABETS, else ValueError (a name
+    that is no string too)."""
+    if not isinstance(alphabet, str) or alphabet not in PSS_ALPHABETS:
+        raise ValueError(f"unknown alphabet {_shown(alphabet)}")
+    return PSS_ALPHABETS[alphabet]
+
+
 def gen_random_pss(
     cfg: SystemConfig, u: int, rng: np.random.Generator, alphabet: str = "quaternary"
 ) -> PhaseSequenceSet:
     """i.i.d. random phase sequences: binary +-1, quaternary +-1/+-j, or continuous phase."""
-    n, u = cfg.n_fft, _as_int("u", u, 1)
-    if alphabet == "binary":
-        seq = (1.0 - 2.0 * rng.integers(0, 2, (u, n))).astype(complex)
-    elif alphabet == "quaternary":
-        seq = np.exp(1j * np.pi / 2 * rng.integers(0, 4, (u, n)))
-    elif alphabet == "continuous":
-        seq = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (u, n)))
-    else:
-        raise ValueError(f"unknown alphabet {alphabet!r}")
-    return PhaseSequenceSet(seq, kind="random")
+    u, draw = _as_int("u", u, 1), _alphabet_draw(alphabet)
+    return PhaseSequenceSet(draw(rng, (u, cfg.n_fft)), kind="random")
 
 
 def all_ones_pss(cfg: SystemConfig) -> PhaseSequenceSet:
@@ -228,28 +236,35 @@ def _permutation_rows(name: str, rows: np.ndarray) -> np.ndarray:
     return rows.astype(np.intp, copy=False)
 
 
+def _random_perms(cfg: SystemConfig, u: int, rng) -> np.ndarray:
+    """u rows, each permuting every group's rows independently and uniformly."""
+    if rng is None:
+        raise ValueError("random permutation set needs an rng")
+    n, G = cfg.group_size, cfg.num_groups
+    # one in-place shuffle of all (row, group) pairs, row-major: the stream
+    # of one rng.permutation(n) per pair; row r of group g is index G*r + g
+    shuffled = np.tile(np.arange(n, dtype=np.intp), (u * G, 1))
+    rng.permuted(shuffled, axis=1, out=shuffled)
+    return (shuffled.reshape(u, G, n).transpose(0, 2, 1) * G + np.arange(G)).reshape(u, cfg.n_fft)
+
+
+# The generated permutation kinds, each name with its u rows; a scheme's
+# other kind, "pinned", takes its set from the caller.
+IDENTITY = "identity"
+PERM_DRAWS = {
+    IDENTITY: lambda cfg, u, rng: np.tile(np.arange(cfg.n_fft, dtype=np.intp), (u, 1)),  # draws nothing
+    "random": _random_perms,
+}
+
+
 def gen_perm_set(
     cfg: SystemConfig, u: int, kind: str = "random", rng: np.random.Generator | None = None
 ) -> PermutationSet:
-    """Build a permutation set.
-
-    random:   each row permutes every group's rows independently and uniformly
-    identity: all rows are the identity (draws nothing)
-    """
-    N, n, G, u = cfg.n_fft, cfg.group_size, cfg.num_groups, _as_int("u", u, 1)
-    if kind == "identity":
-        perms = np.tile(np.arange(N, dtype=np.intp), (u, 1))
-    elif kind == "random":
-        if rng is None:
-            raise ValueError("random permutation set needs an rng")
-        # one in-place shuffle of all (row, group) pairs, row-major: the stream
-        # of one rng.permutation(n) per pair; row r of group g is index G*r + g
-        shuffled = np.tile(np.arange(n, dtype=np.intp), (u * G, 1))
-        rng.permuted(shuffled, axis=1, out=shuffled)
-        perms = (shuffled.reshape(u, G, n).transpose(0, 2, 1) * G + np.arange(G)).reshape(u, N)
-    else:
-        raise ValueError(f"unknown permutation kind {kind!r}")
-    return PermutationSet(perms, kind=kind)
+    """Build a permutation set of a kind in PERM_DRAWS (identity draws nothing)."""
+    u = _as_int("u", u, 1)
+    if not isinstance(kind, str) or kind not in PERM_DRAWS:
+        raise ValueError(f"unknown permutation kind {_shown(kind)}")
+    return PermutationSet(PERM_DRAWS[kind](cfg, u, rng), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +467,18 @@ def pss_to_json(pss: PhaseSequenceSet) -> dict:
     }
 
 
-def pss_from_json(doc: dict) -> PhaseSequenceSet:
+def pss_from_json(doc: dict, cfg: SystemConfig) -> PhaseSequenceSet:
+    """The set of a PSS document, checked against ``cfg``.
+
+    The document's own ``n_fft``, where it has one, must be the length of
+    its phase rows.
+    """
     phases = np.array(doc["phases"], dtype=float)
     with np.errstate(invalid="ignore"):  # an infinite phase gives NaN, refused as not unit modulus
-        return PhaseSequenceSet(np.exp(1j * phases), kind=doc.get("kind", "explicit"))
+        pss = PhaseSequenceSet(np.exp(1j * phases), kind=doc.get("kind", "explicit"))
+    if "n_fft" in doc and _as_int("n_fft", doc["n_fft"]) != pss.n_fft:
+        raise ValueError(f"n_fft {doc['n_fft']} is not the phase row length {pss.n_fft}")
+    return pss.check(cfg)
 
 
 def perm_set_to_json(perms: PermutationSet) -> dict:

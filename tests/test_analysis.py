@@ -407,6 +407,15 @@ def test_hadamard_full_spectrum_zero_at_lag_zero():
             assert spec.magnitudes[0] < 1e-12
 
 
+def test_punctured_spectrum_of_a_sap_of_plain_rows():
+    # a Sap of plain rows made GroupSaps of them, instead of failing when read
+    pss = gen_random_pss(CFG, 2, np.random.default_rng(2)).sequences
+    rows = ((0, 1), (2, 3), (0, 5), (1, 2))
+    got = punctured_spectrum(pss[0], pss[1], Sap(rows))
+    want = punctured_spectrum(pss[0], pss[1], Sap(tuple(GroupSap(r) for r in rows)))
+    assert np.array_equal(got.magnitudes, want.magnitudes) and got.c == want.c
+
+
 def test_punctured_spectrum_length_mismatch():
     for p1, p2, sap in (
         (np.ones(8), np.ones(16), None),

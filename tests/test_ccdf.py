@@ -17,6 +17,8 @@ from ofdm_im_slm import (
     ccdf,
     default_gamma_grid,
     draw_active_positions,
+    gen_perm_set,
+    gen_random_pss,
     instantiate_scheme,
     papr_at_ccdf,
     run_ccdf,
@@ -26,12 +28,14 @@ from ofdm_im_slm.ccdf import (
     BATCH_TRIALS,
     MAX_PLAN_ELEMENTS,
     MAX_SUBSET_TABLE_ENTRIES,
+    PSS_KINDS,
     SAP_SOURCES,
     _batch_counts,
     _exceedance_counts,
     curve_csv_text,
     plan_json_doc,
 )
+from ofdm_im_slm.slm import PERM_DRAWS, PSS_ALPHABETS, PhaseSequenceSet
 from oracles import compare_curves
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
@@ -95,6 +99,68 @@ def test_pinned_permutations_must_stay_in_their_groups():
     )
     with pytest.raises(ValueError, match="residue"):
         run_ccdf(make_plan(scheme=scheme, trials=10))
+
+
+@pytest.mark.parametrize("alphabet", ["foo", ["x"], None, 4, ""], ids=repr)
+@pytest.mark.parametrize("pss_kind", PSS_KINDS)
+def test_scheme_refuses_an_unknown_alphabet_with_every_pss_kind(pss_kind, alphabet):
+    # the plan JSON records the alphabet whatever the PSS kind; the golden
+    # ccdf_dense_os plan records "quaternary" with a Hadamard PSS
+    u = 1 if pss_kind == "all-ones" else 2
+    pinned = gen_random_pss(CFG, u, np.random.default_rng(0)) if pss_kind == "pinned" else None
+    with pytest.raises(ValueError, match="^unknown alphabet "):
+        SchemeDescriptor(mode="slm", u=u, pss_kind=pss_kind, pss_alphabet=alphabet, pinned_pss=pinned)
+    for name in PSS_ALPHABETS:
+        SchemeDescriptor(mode="slm", u=u, pss_kind=pss_kind, pss_alphabet=name, pinned_pss=pinned)
+    if pss_kind == "all-ones":
+        with pytest.raises(ValueError, match="^unknown alphabet "):
+            SchemeDescriptor(mode="original", pss_kind=pss_kind, pss_alphabet=alphabet)
+
+
+def test_scheme_refuses_a_pinned_set_that_its_kind_would_drop():
+    rng = np.random.default_rng(0)
+    pss, perms = gen_random_pss(CFG, 2, rng), gen_perm_set(CFG, 2, "random", rng)
+    for kind in ("random", "cyclic-hadamard"):
+        with pytest.raises(ValueError, match=f"^pinned_pss is given, but pss_kind is '{kind}', not 'pinned'$"):
+            SchemeDescriptor(mode="slm", u=2, pss_kind=kind, pinned_pss=pss)
+    with pytest.raises(ValueError, match="^pinned_pss is given"):
+        SchemeDescriptor(mode="slm", u=1, pss_kind="all-ones", pinned_pss=PhaseSequenceSet(np.ones((1, 64))))
+    for kind in PERM_DRAWS:
+        with pytest.raises(ValueError, match=f"^pinned_perms is given, but perm_kind is '{kind}', not 'pinned'$"):
+            SchemeDescriptor(mode="slm", u=2, perm_kind=kind, pinned_perms=perms)
+    with pytest.raises(ValueError, match="^pinned_perms is given"):
+        SchemeDescriptor(mode="original", pss_kind="all-ones", pinned_perms=PermutationSet(np.arange(64)))
+    # with their pinned kinds the same sets are run
+    SchemeDescriptor(mode="slm", u=2, pss_kind="pinned", perm_kind="pinned", pinned_pss=pss, pinned_perms=perms)
+
+
+def test_scheme_refuses_a_pinned_value_that_is_no_set():
+    # an array or a list has no u: these ended in an AttributeError
+    with pytest.raises(ValueError, match="^pinned pss_kind requires pinned_pss with matching u$"):
+        SchemeDescriptor(mode="slm", u=2, pss_kind="pinned", pinned_pss=np.ones((2, 64)))
+    with pytest.raises(ValueError, match="^pinned perm_kind requires pinned_perms with matching u$"):
+        SchemeDescriptor(mode="slm", u=2, perm_kind="pinned", pinned_perms=[list(range(64))] * 2)
+
+
+def test_instantiate_scheme_checks_only_the_pinned_sets(monkeypatch):
+    checked = []
+    for cls in (PhaseSequenceSet, PermutationSet):
+        monkeypatch.setattr(cls, "check", lambda self, cfg, check=cls.check: checked.append(self) or check(self, cfg))
+    # a generated set is built from the config, so it fits by construction
+    for pss_kind, perm_kind in [("random", "random"), ("cyclic-hadamard", "identity")]:
+        instantiate_scheme(make_plan(scheme=SchemeDescriptor(mode="slm", u=2, pss_kind=pss_kind, perm_kind=perm_kind)))
+    instantiate_scheme(make_plan())
+    assert checked == []
+    rng = np.random.default_rng(1)
+    pss, perms = gen_random_pss(CFG, 2, rng), gen_perm_set(CFG, 2, "random", rng)
+    scheme = SchemeDescriptor(mode="slm", u=2, pss_kind="pinned", perm_kind="pinned", pinned_pss=pss, pinned_perms=perms)
+    built = instantiate_scheme(make_plan(scheme=scheme))
+    assert built[0] is pss and built[1] is perms
+    assert len(checked) == 2 and checked[0] is pss and checked[1] is perms
+    # a pinned PSS of another length is refused there
+    short = gen_random_pss(SystemConfig(n_fft=16, group_size=4, active=2, mod_order=4), 2, rng)
+    with pytest.raises(ValueError, match="^phase sequence length 16 is not n_fft=64$"):
+        instantiate_scheme(make_plan(scheme=SchemeDescriptor(mode="slm", u=2, pss_kind="pinned", pinned_pss=short)))
 
 
 def test_plan_validation():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdm_im_slm import __version__, analysis, ccdf, cli, gen_perm_set, gen_random_pss, SystemConfig
+from ofdm_im_slm import __version__, analysis, ccdf, cli, gen_perm_set, gen_random_pss, slm, SystemConfig
 from ofdm_im_slm.cli import main
 from ofdm_im_slm.slm import perm_set_to_json, pss_to_json
 
@@ -905,6 +906,26 @@ def test_analysis_output_is_checked_before_the_work(tmp_path, monkeypatch, capsy
 
 
 # ---------------------------------------------------------------------------
+# the parser's choices
+
+def test_parser_choices_are_the_library_lists():
+    """Each choices= of every subcommand is the library list it stands for,
+    the same object, so a list copied into cli.py fails here."""
+    lists = {"scheme": ccdf.MODES, "sap_source": ccdf.SAP_SOURCES, "pss_alphabet": slm.PSS_ALPHABETS,
+             "kind": slm.PERM_DRAWS, "pss": cli.PSS_FLAGS}
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.choices is not None:
+                assert action.choices is lists.get(action.dest), f"{name} --{action.dest}"
+                seen.add(action.dest)
+    assert seen == set(lists)
+    # every CLI PSS name stands for a scheme PSS kind
+    assert set(cli.PSS_FLAGS.values()) <= set(ccdf.PSS_KINDS)
+
+
+# ---------------------------------------------------------------------------
 # input files: one loader for the five file flags
 
 HALF_STEPS = {"perms": [[i + 0.5 for i in range(64)]] * 2}  # int() would make these the identity
@@ -950,6 +971,30 @@ def test_set_file_whose_kind_is_no_string_exit_2(tmp_path, capsys, argv, doc):
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith(f"error: malformed {'PSS' if argv[0] == 'ccdf' else 'permutation'} file {path}: ")
     assert captured.err.endswith(": kind must be a string, got " + repr(doc["kind"]) + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+@pytest.mark.parametrize("n_fft", [32, "banana"])
+@pytest.mark.parametrize("argv", [["analyze-pss", "--pss-file"], ["ccdf", "--u", "2", "--pss"]], ids=lambda a: a[0])
+def test_pss_file_whose_n_fft_is_not_its_row_length_exit_2(tmp_path, capsys, argv, n_fft):
+    # 64-long phase rows under a document n_fft of 32 loaded with exit 0
+    doc = {**pss_to_json(gen_random_pss(CFG, 2, np.random.default_rng(0))), "n_fft": n_fft}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    out = ["--trials", "10", "--out", str(tmp_path / "x")] if argv[0] == "ccdf" else ["--out", str(tmp_path / "x.csv")]
+    rc = run_cli([argv[0], *BASE, *argv[1:], str(path), *out])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: malformed PSS file {path}: n_fft ") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+def test_sap_file_whose_groups_are_no_collection_exit_2(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"groups": 5}))
+    rc = run_cli(["analyze-pss", *BASE, "--sap-file", str(path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: malformed SAP file {path}: groups must be a collection of row subsets, got 5\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 

@@ -303,6 +303,24 @@ def test_group_sap_takes_integral_values():
     assert GroupSap(r for r in (0, 2)).rows == (0, 2)
 
 
+def test_sap_takes_plain_rows_and_checks_them_as_a_group_sap_does():
+    plain = Sap(((0, 3), [1.0, np.int64(2)]))
+    assert plain == Sap((GroupSap((0, 3)), GroupSap((1, 2))))
+    assert all(type(g) is GroupSap for g in plain.groups) and plain.active == (0, 3, 5, 6)
+    kept = GroupSap((0, 3))
+    assert Sap([kept]).groups[0] is kept
+    with pytest.raises(ValueError, match="^rows must be sorted"):
+        Sap(((3, 0),))
+    with pytest.raises(ValueError, match="^rows must be distinct"):
+        Sap(((0, 0.5), (1, 2)))
+
+
+@pytest.mark.parametrize("groups", [5, None, 2.5, True], ids=repr)
+def test_sap_refuses_groups_that_are_no_collection(groups):
+    with pytest.raises(ValueError, match=f"^groups must be a collection of row subsets, got {groups!r}$"):
+        Sap(groups)
+
+
 @pytest.mark.parametrize(
     "n_fft,group_size,active",
     [(16, 4, k) for k in (1, 2, 3)] + [(64, 16, k) for k in range(1, 16)] + [(32, 8, 5)],

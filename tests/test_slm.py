@@ -26,7 +26,7 @@ from ofdm_im_slm import (
     punctured_spectrum,
     slm_select,
 )
-from ofdm_im_slm.slm import PRIMITIVE_POLYS
+from ofdm_im_slm.slm import PRIMITIVE_POLYS, PSS_ALPHABETS
 from oracles import apply_permutation, assemble_block, oversampled_idft, papr_db, permute_sap
 
 CFG = SystemConfig(n_fft=64, group_size=16, active=2, mod_order=4)
@@ -162,6 +162,30 @@ def test_gen_random_pss_alphabets():
         gen_random_pss(CFG, 2, rng, alphabet="octal")
 
 
+@pytest.mark.parametrize("alphabet", ["octal", "", "Binary", ["binary"], None, 2, b"binary"], ids=repr)
+def test_gen_random_pss_refuses_an_unknown_alphabet_before_it_draws(alphabet):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^unknown alphabet "):
+        gen_random_pss(CFG, 2, rng, alphabet=alphabet)
+    assert rng.bit_generator.state == state
+
+
+def test_gen_random_pss_keeps_the_draw_of_each_alphabet():
+    # the numpy calls each alphabet made before the alphabets were one mapping
+    shape = (3, CFG.n_fft)
+    reference = {
+        "binary": lambda rng: (1.0 - 2.0 * rng.integers(0, 2, shape)).astype(complex),
+        "quaternary": lambda rng: np.exp(1j * np.pi / 2 * rng.integers(0, 4, shape)),
+        "continuous": lambda rng: np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape)),
+    }
+    assert list(PSS_ALPHABETS) == list(reference)
+    for name, draw in reference.items():
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(gen_random_pss(CFG, 3, a, alphabet=name).sequences, draw(b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_random_quaternary_pair_below_flat_bound():
     # punctured spectrum of a random pair stays below the all-equal bound K/N
     rng = np.random.default_rng(3)
@@ -180,7 +204,7 @@ def test_pss_validation():
         with pytest.raises(ValueError, match="unit modulus"):
             PhaseSequenceSet(np.array([[1.0, bad], [1.0, -1.0]]))
     with pytest.raises(ValueError, match="unit modulus"):
-        pss_from_json({"phases": [[0.0, float("nan")], [0.0, 1.0]]})
+        pss_from_json({"phases": [[0.0, float("nan")], [0.0, 1.0]]}, CFG)
     with pytest.raises(ValueError, match="identical"):
         PhaseSequenceSet(np.ones((2, 8), dtype=complex))
     rows = np.exp(1j * np.pi / 2 * np.random.default_rng(1).integers(0, 4, (4, 8)))
@@ -240,7 +264,9 @@ def test_gen_perm_set_refuses_fewer_than_one_row(kind, u):
 @pytest.mark.parametrize("kind,rng,message", [
     ("random", None, "random permutation set needs an rng"),
     ("bogus", np.random.default_rng(0), "unknown permutation kind 'bogus'"),
-], ids=["random-without-rng", "unknown-kind"])
+    ("pinned", np.random.default_rng(0), "unknown permutation kind 'pinned'"),
+    (["random"], np.random.default_rng(0), r"unknown permutation kind \['random'\]"),
+], ids=["random-without-rng", "unknown-kind", "pinned-kind", "kind-no-string"])
 def test_gen_perm_set_refuses_an_unknown_kind_or_a_missing_rng(kind, rng, message):
     with pytest.raises(ValueError, match=message):
         gen_perm_set(CFG, 2, kind, rng)
@@ -641,16 +667,33 @@ def test_gen_perm_identity_draws_nothing():
 def test_pss_json_roundtrip():
     rng = np.random.default_rng(14)
     pss = gen_random_pss(CFG, 3, rng, alphabet="continuous")
-    restored = pss_from_json(pss_to_json(pss))
+    restored = pss_from_json(pss_to_json(pss), CFG)
     assert restored.kind == "random"
     assert np.max(np.abs(restored.sequences - pss.sequences)) < 1e-12
 
 
 def test_pss_json_roundtrip_hadamard():
     pss = gen_hadamard_pss(CFG, 4)
-    restored = pss_from_json(pss_to_json(pss))
+    restored = pss_from_json(pss_to_json(pss), CFG)
     # +-1 entries survive the radian encoding to float precision
     assert np.max(np.abs(restored.sequences - pss.sequences)) < 1e-12
+
+
+@pytest.mark.parametrize("n_fft", [32, 128, "banana", None, 64.5, [64]], ids=repr)
+def test_pss_json_n_fft_must_be_the_row_length(n_fft):
+    doc = {**pss_to_json(gen_random_pss(CFG, 2, np.random.default_rng(0))), "n_fft": n_fft}
+    with pytest.raises(ValueError, match="n_fft"):
+        pss_from_json(doc, CFG)
+    # a document without n_fft takes the length of its rows
+    del doc["n_fft"]
+    assert pss_from_json(doc, CFG).n_fft == CFG.n_fft
+
+
+def test_pss_json_is_checked_against_the_config():
+    doc = pss_to_json(gen_random_pss(CFG, 2, np.random.default_rng(0)))
+    short = SystemConfig(n_fft=16, group_size=4, active=2, mod_order=4)
+    with pytest.raises(ValueError, match="^phase sequence length 64 is not n_fft=16$"):
+        pss_from_json(doc, short)
 
 
 def test_set_json_text_is_the_element_by_element_encoding():
@@ -678,7 +721,7 @@ def test_sets_refuse_a_kind_that_is_no_string(kind):
     pss_doc = {**pss_to_json(gen_random_pss(CFG, 2, rng)), "kind": kind}
     perm_doc = {**perm_set_to_json(gen_perm_set(CFG, 2, "random", rng)), "kind": kind}
     with pytest.raises(ValueError, match="kind"):
-        pss_from_json(pss_doc)
+        pss_from_json(pss_doc, CFG)
     with pytest.raises(ValueError, match="kind"):
         perm_set_from_json(perm_doc, CFG)
 
